@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import random
 import sys
 from dataclasses import dataclass
@@ -32,20 +31,14 @@ class CliConfig:
 
     a: int | None = None
     b: int | None = None
-    poly: tuple[int, ...] | None = None
     bound: int | None = None
-    caps: tuple[int, ...] | None = None
     levels: int | None = None
     minus_one_generates: bool = False
     output: str = "text"
     workers: int = 1
 
     def as_dict(self) -> dict:
-        out = {}
-        for k, v in self.__dict__.items():
-            if v is not None:
-                out[k] = list(v) if isinstance(v, tuple) else v
-        return out
+        return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
 def _fraction(text: str) -> Fraction:
@@ -322,21 +315,13 @@ def _selftest_oracle_equivalence(B: int = 100) -> bool:
     F = biquad.BiquadField(13, 17)
     series = count.count_series(F, B, minus_one_generates=True)
     naive = {Bi: 0 for Bi in series.grid}
-    for t in enumerate_heights_naive(B):
+    for t in count.enumerate_heights(B):
         if biquad.is_everywhere_local_norm(F, t)[0]:
             H = max(abs(t.numerator), t.denominator)
             for Bi in naive:
                 if H <= Bi:
                     naive[Bi] += 1
     return all(naive[Bi] == nl for Bi, nl in zip(series.grid, series.n_loc))
-
-
-def enumerate_heights_naive(B: int):
-    for b in range(1, B + 1):
-        for a in range(1, B + 1):
-            if math.gcd(a, b) == 1:
-                yield Fraction(a, b)
-                yield Fraction(-a, b)
 
 
 def _selftest_farey(B: int = 300) -> bool:

@@ -1,19 +1,20 @@
 """Counting harness for N_loc(B), N_glob(B), N_ce(B) over a biquadratic field.
 
 Rationals t = a/b are enumerated by height H(t) = max(|a|, b).  The
-everywhere-local test is evaluated through per-integer tables: an SPF sieve
-factors every numerator and denominator once, Hilbert symbols at the fixed
-places (infinity, 2, p | ab) are cached per prime and folded into a bitmask
-profile, and the remaining primes only need the parity of their exponent.
-The global count comes from the exact half rule when the knot group is Z/2
-generated by -1, from equality when the knot group is trivial, and from a
-certificate-search lower bound otherwise.
+everywhere-local test is evaluated through per-integer tables built by
+sieving over the primes up to B: the Hilbert-symbol bits of each prime at the
+fixed places (infinity, 2, p | ab) are XORed into a bitmask profile of its
+multiples wherever its exponent is odd, and the other primes only need the
+parity of their exponent.  N_loc counts the coprime pairs with matching
+profiles by Moebius inversion over the common divisor.  The global count
+comes from the exact half rule when the knot group is Z/2 generated by -1,
+from equality when the knot group is trivial, and from a certificate-search
+lower bound otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ import numpy as np
 from . import arith, biquad
 from .arith import Place, INFINITE_PLACE
 from .errors import ConfigError, DomainError
+from .numfield import doubling_grid
 
 HALF_RULE = "half_rule"
 TRIVIAL_KNOT = "trivial_knot"
@@ -112,99 +114,58 @@ def local_tables(F: biquad.BiquadField, B: int) -> LocalTables:
         elif lt.kind == biquad.BIQUADRATIC:
             bit_places.append((v, F.a))
             bit_places.append((v, F.b))
-    spf = arith.spf_table(B) if B >= 2 else np.zeros(2, dtype=np.int64)
-    profile = np.zeros(B + 1, dtype=np.int32)
-    ok = np.ones(B + 1, dtype=bool)
-    prime_bits: dict[int, int] = {}
-    prime_good: dict[int, bool] = {}
-    ram = F.ramified_support
-    for n in range(2, B + 1):
-        p = int(spf[n])
-        bits = prime_bits.get(p)
-        if bits is None:
-            bits = 0
-            for k, (v, d) in enumerate(bit_places):
-                if arith.hilbert(p, d, v) == -1:
-                    bits |= 1 << k
-            prime_bits[p] = bits
-        profile[n] = profile[n // p] ^ bits
-        # parity condition at the movable primes: strip p entirely, then
-        # require even exponent unless p splits in all three subfields
-        e = 0
-        m = n
-        while m % p == 0:
-            m //= p
-            e += 1
-        okn = bool(ok[m])
-        if okn and p not in ram and e % 2:
-            good = prime_good.get(p)
-            if good is None:
-                good = arith.kronecker(F.a, p) == 1 and arith.kronecker(F.b, p) == 1
-                prime_good[p] = good
-            okn = good
-        ok[n] = okn
+    if len(bit_places) > 63:
+        raise DomainError(f"{len(bit_places)} profile bits exceed the 63 of an int64")
+    profile = np.zeros(B + 1, dtype=np.int64)
+    # odd_bad[n]: primes outside the fixed places that do not split in all
+    # three subfields and divide n to odd order
+    odd_bad = np.zeros(B + 1, dtype=np.int8)
+    for p in arith.sieve_primes(B):
+        bits = sum(1 << k for k, (v, d) in enumerate(bit_places)
+                   if arith.hilbert(p, d, v) == -1)
+        bad = p not in F.ramified_support and not (
+            arith.kronecker(F.a, p) == 1 and arith.kronecker(F.b, p) == 1)
+        # touching the multiples of p, p^2, p^3, ... flips the parity of v_p
+        q, sign = p, 1
+        while q <= B:
+            if bits:
+                profile[q::q] ^= bits
+            if bad:
+                odd_bad[q::q] += sign
+            q *= p
+            sign = -sign
     p_minus = 0
     for k, (v, d) in enumerate(bit_places):
         if arith.hilbert(-1, d, v) == -1:
             p_minus |= 1 << k
-    return LocalTables(B, ok, profile, p_minus, tuple(bit_places))
+    return LocalTables(B, odd_bad == 0, profile, p_minus, tuple(bit_places))
 
 
-def _doubling_grid(B: int, levels: int | None) -> list[int]:
-    if B < 1:
-        raise DomainError("B must be >= 1")
-    if levels is None:
-        levels = B.bit_length()
-    return sorted({max(1, B >> k) for k in range(levels)})
-
-
-def _count_rows(cls: np.ndarray, spf: np.ndarray, b_lo: int, b_hi: int,
-                grid: list[int], p_minus: int) -> np.ndarray:
-    """n_loc contributions of denominators b in [b_lo, b_hi); cls[n-1] is the
-    profile of n or -1 when a bad prime divides n to odd order."""
-    B = len(cls)
-    totals = np.zeros(len(grid), dtype=np.int64)
-    valid = cls >= 0
-    for b in range(b_lo, b_hi):
-        cb = cls[b - 1]
-        if cb < 0:
-            continue
-        mask = np.ones(B, dtype=bool)
-        m = b
-        while m > 1:
-            p = int(spf[m])
-            mask[p - 1::p] = False
-            while m % p == 0:
-                m //= p
-        x = cls ^ cb
-        base = valid & mask
-        w = (base & (x == 0)).astype(np.int64)
-        if p_minus == 0:
-            w += w
-        else:
-            w += base & (x == p_minus)
-        cum = np.cumsum(w)
-        for gi, Bi in enumerate(grid):
-            if b <= Bi:
-                totals[gi] += cum[Bi - 1]
-    return totals
-
-
-def _n_loc_series(grid: list[int], tables: LocalTables,
-                  workers: int = 1) -> list[int]:
+def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
+    """n_loc(B_i) = sum over squarefree d <= B_i of mu(d) * sum_c H_d[c] *
+    (H_d[c] + H_d[c ^ p_minus]), where H_d is the histogram of profile
+    classes over the passing multiples of d up to B_i: Moebius inversion of
+    the count of pairs (a, b) with a ~ b (sign +) or a ~ -b (sign -)."""
     B = grid[-1]
-    cls = np.where(tables.ok[1:B + 1], tables.profile[1:B + 1], -1).astype(np.int32)
-    spf = arith.spf_table(B) if B >= 2 else np.zeros(2, dtype=np.int64)
-    if workers <= 1:
-        totals = _count_rows(cls, spf, 1, B + 1, grid, tables.p_minus)
-    else:
-        bounds = [1 + (B * k) // workers for k in range(workers + 1)]
-        bounds[-1] = B + 1
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_count_rows, cls, spf, lo, hi, grid, tables.p_minus)
-                    for lo, hi in zip(bounds, bounds[1:])]
-            totals = sum(f.result() for f in futs)
-    return [int(x) for x in totals]
+    profiles, cid = np.unique(tables.profile[:B + 1], return_inverse=True)
+    C = len(profiles)
+    cid = np.where(tables.ok[:B + 1], cid, C)  # class C: fails the local test
+    mates = profiles ^ tables.p_minus
+    j = np.minimum(np.searchsorted(profiles, mates), C - 1)
+    partner = np.append(np.where(profiles[j] == mates, j, C), C)
+    mu = np.ones(B + 1, dtype=np.int8)
+    for p in arith.sieve_primes(B):
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+    totals = []
+    for Bi in grid:
+        total = 0
+        for d in np.flatnonzero(mu[1:Bi + 1]) + 1:
+            h = np.bincount(cid[d:Bi + 1:d], minlength=C + 1)
+            h[C] = 0
+            total += int(mu[d]) * int(h @ (h + h[partner]))
+        totals.append(total)
+    return totals
 
 
 def count_series(F: biquad.BiquadField, B: int, levels: int | None = None, *,
@@ -218,10 +179,13 @@ def count_series(F: biquad.BiquadField, B: int, levels: int | None = None, *,
     two knot classes); otherwise certificate search provides a lower bound
     with the unresolved count reported.  The search mode runs one search per
     everywhere-local element and is only practical at small bounds.
+
+    `workers` is accepted for compatibility and has no effect: the count
+    runs in one process.
     """
-    grid = _doubling_grid(B, levels)
+    grid = doubling_grid(B, levels)
     tables = local_tables(F, B)
-    n_loc = _n_loc_series(grid, tables, workers=workers)
+    n_loc = _n_loc_series(grid, tables)
     g = biquad.knot_order(F)
     if g == 1:
         mode = GlobMode(TRIVIAL_KNOT)
@@ -258,7 +222,7 @@ def count_integer_norms_local(F: biquad.BiquadField, B: int,
                               levels: int | None = None) -> list[tuple[int, int]]:
     """Counts of positive integers n <= B_i that are everywhere-local norms;
     a cheaper single-variable diagnostic with the same exponent behavior."""
-    grid = _doubling_grid(B, levels)
+    grid = doubling_grid(B, levels)
     tables = local_tables(F, B)
     passing = tables.ok[1:B + 1] & (tables.profile[1:B + 1] == 0)
     cum = np.cumsum(passing.astype(np.int64))

@@ -338,19 +338,22 @@ def delta_K_estimate(K: NumberField, X: int) -> tuple[int, int, Fraction]:
     return hits, total, Fraction(hits, total)
 
 
-def _doubling_grid(B: int, levels: int | None) -> list[int]:
+def doubling_grid(B: int, levels: int | None) -> list[int]:
+    """The bounds B, B/2, ..., B/2^(levels-1) in increasing order, floored
+    and deduplicated; all the way down to 1 when levels is None."""
+    if B < 1:
+        raise DomainError("B must be >= 1")
     if levels is None:
-        levels = max(1, B.bit_length())
-    grid = sorted({max(1, B >> k) for k in range(levels)})
-    return grid
+        levels = B.bit_length()
+    if levels < 1:
+        raise DomainError("levels must be >= 1")
+    return sorted({max(1, B >> k) for k in range(levels)})
 
 
 def count_ideal_norms(K: NumberField, B: int, levels: int | None = None
                       ) -> list[tuple[int, int]]:
     """Exact counts #{n <= B_i : n in N(I_K)} on the doubling grid B_i = B/2^k."""
-    if B < 1:
-        raise DomainError("B must be >= 1")
-    grid = _doubling_grid(B, levels)
+    grid = doubling_grid(B, levels)
     gcd_cache: dict[int, int] = {}
 
     def g_of(p: int) -> int:

@@ -132,6 +132,15 @@ def test_usage_errors(capsys):
     assert run(capsys, "knot", "--a", "x", "--b", "17")[0] == 2
 
 
+def test_levels_zero_is_domain_error(capsys):
+    field = ("--a", "13", "--b", "17", "--bound", "64")
+    for cmd in ("count", "count-integers", "fit"):
+        status, out, err = run(capsys, cmd, *field, "--levels", "0")
+        assert status == 1, cmd
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
+
+
 def test_domain_error_exit(capsys):
     status, _, err = run(capsys, "knot", "--a", "4", "--b", "5")
     assert status == 1

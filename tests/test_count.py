@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hasseknot import biquad, count, numfield
+from hasseknot import arith, biquad, count, numfield
 from hasseknot.biquad import BiquadField
 from hasseknot.count import CountSeries, GlobMode
 from hasseknot.errors import ConfigError, DomainError
@@ -36,22 +36,29 @@ def test_enumerate_heights_order():
     assert next(it) == Fraction(1) and next(it) == Fraction(-1)
 
 
+# (13, 17) has p_minus == 0; the others have p_minus != 0, where the counter
+# pairs each profile class with its partner class c ^ p_minus.
+P_MINUS_FIELDS = [(BiquadField(a, b), 60) for a, b in ((3, 5), (-1, 5), (2, 7), (-3, 13))]
+
+
 def test_local_tables_match_one_shot_test():
-    B = 80
-    tables = count.local_tables(F1317, B)
-    for b in range(1, B + 1):
-        for a in range(1, B + 1):
-            if math.gcd(a, b) != 1:
-                continue
-            for t in (Fraction(a, b), Fraction(-a, b)):
-                assert tables.passes(t) == biquad.is_everywhere_local_norm(F1317, t)[0], t
+    for F, B in [(F1317, 80)] + P_MINUS_FIELDS:
+        tables = count.local_tables(F, B)
+        for b in range(1, B + 1):
+            for a in range(1, B + 1):
+                if math.gcd(a, b) != 1:
+                    continue
+                for t in (Fraction(a, b), Fraction(-a, b)):
+                    assert tables.passes(t) == biquad.is_everywhere_local_norm(F, t)[0], (F, t)
 
 
 def test_count_series_matches_naive_recount():
-    series = count.count_series(F1317, 100, minus_one_generates=True)
-    naive = naive_local_count(F1317, 100, list(series.grid))
-    for Bi, nl in zip(series.grid, series.n_loc):
-        assert naive[Bi] == nl, Bi
+    for F, B in [(F1317, 100)] + P_MINUS_FIELDS:
+        # n_loc does not depend on the global mode; cap 1 keeps the search mode cheap
+        series = count.count_series(F, B, minus_one_generates=F == F1317, search_cap=1)
+        naive = naive_local_count(F, B, list(series.grid))
+        for Bi, nl in zip(series.grid, series.n_loc):
+            assert naive[Bi] == nl, (F, Bi)
 
 
 def test_count_series_half_rule_invariants():
@@ -82,12 +89,6 @@ def test_count_series_search_lower_bound_mode():
     assert series.glob_mode.unknowns == series.n_loc[-1] - series.n_glob[-1]
 
 
-def test_count_series_workers_deterministic():
-    s1 = count.count_series(F1317, 200, minus_one_generates=True, workers=1)
-    s2 = count.count_series(F1317, 200, minus_one_generates=True, workers=3)
-    assert s1.n_loc == s2.n_loc
-
-
 def test_half_rule_rejected_when_minus_one_not_local():
     F = BiquadField(-2, 17)
     assert biquad.knot_order(F) == 2
@@ -102,6 +103,19 @@ def test_series_validation():
         CountSeries((2, 4), (4, 3), (2, 1), (2, 2), GlobMode(count.HALF_RULE))
     with pytest.raises(DomainError):
         CountSeries((2,), (4,), (3,), (1,), GlobMode(count.TRIVIAL_KNOT))
+
+
+def test_local_tables_profile_width():
+    # 46 bit places: more than an int32 profile holds, within an int64
+    F = BiquadField(3 * 7 * 11 * 19 * 23 * 31 * 43 * 47 * 59 * 67 * 71 * 79 * 83,
+                    5 * 13 * 17 * 29 * 37 * 41 * 53 * 61 * 73 * 89 * 97 * 101 * 109 * 113)
+    assert len(count.local_tables(F, 2).bit_places) == 46
+    naive = sum(biquad.is_everywhere_local_norm(F, n)[0] for n in range(1, 201))
+    assert naive == 14
+    assert count.count_integer_norms_local(F, 200)[-1] == (200, naive)
+    odd = arith.sieve_primes(400)[1:]  # 77 primes, 117 bit places
+    with pytest.raises(DomainError):
+        count.local_tables(BiquadField(math.prod(odd[0::2]), math.prod(odd[1::2])), 10)
 
 
 def test_count_integer_norms_local():
