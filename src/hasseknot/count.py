@@ -87,13 +87,15 @@ class FitResult:
 class LocalTables:
     """Per-integer data for 1..B: `ok[n]` says no non-split prime outside the
     fixed places divides n to odd order; `profile[n]` packs the Hilbert-symbol
-    bits of n at the fixed places; `p_minus` is the profile of -1."""
+    bits of n at the fixed places; `p_minus` is the profile of -1; `primes`
+    are the primes up to B that the tables were sieved over."""
 
     bound: int
     ok: np.ndarray
     profile: np.ndarray
     p_minus: int
     bit_places: tuple[tuple[Place, int], ...]  # (place, symbol argument) per bit
+    primes: list[int]
 
     def passes(self, t: Fraction) -> bool:
         """Everywhere-local test for t with H(t) <= bound, via the tables."""
@@ -120,7 +122,8 @@ def local_tables(F: biquad.BiquadField, B: int) -> LocalTables:
     # odd_bad[n]: primes outside the fixed places that do not split in all
     # three subfields and divide n to odd order
     odd_bad = np.zeros(B + 1, dtype=np.int8)
-    for p in arith.sieve_primes(B):
+    primes = arith.sieve_primes(B)
+    for p in primes:
         bits = sum(1 << k for k, (v, d) in enumerate(bit_places)
                    if arith.hilbert(p, d, v) == -1)
         bad = p not in F.ramified_support and not (
@@ -138,7 +141,7 @@ def local_tables(F: biquad.BiquadField, B: int) -> LocalTables:
     for k, (v, d) in enumerate(bit_places):
         if arith.hilbert(-1, d, v) == -1:
             p_minus |= 1 << k
-    return LocalTables(B, odd_bad == 0, profile, p_minus, tuple(bit_places))
+    return LocalTables(B, odd_bad == 0, profile, p_minus, tuple(bit_places), primes)
 
 
 def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
@@ -154,7 +157,7 @@ def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
     j = np.minimum(np.searchsorted(profiles, mates), C - 1)
     partner = np.append(np.where(profiles[j] == mates, j, C), C)
     mu = np.ones(B + 1, dtype=np.int8)
-    for p in arith.sieve_primes(B):
+    for p in tables.primes:
         mu[p::p] *= -1
         mu[p * p::p * p] = 0
     totals = []

@@ -1,11 +1,15 @@
 """Univariate polynomial factorization over GF(p).
 
 Polynomials are lists of ints, constant term first, reduced mod p, with no
-trailing zeros ([] is the zero polynomial).  The factor driver runs
-squarefree decomposition, then distinct-degree splitting, then randomized
-equal-degree (Cantor-Zassenhaus) splitting.  The equal-degree stage draws
-from a generator seeded deterministically from (p, f), so repeated runs
-factor identically.
+trailing zeros ([] is the zero polynomial).  One driver runs squarefree
+decomposition, then distinct-degree splitting, and returns blocks: products
+of the irreducible factors of one degree and one multiplicity.
+
+`degree_pattern` reads the (multiplicity, degree) pattern off those blocks
+alone; this is all that prime splitting and the prime census need.
+`factor` adds randomized equal-degree (Cantor-Zassenhaus) splitting of each
+block into its irreducible factors.  That stage draws from a generator
+seeded deterministically from (p, f), so repeated runs factor identically.
 """
 
 from __future__ import annotations
@@ -213,6 +217,30 @@ def _equal_degree_gf2(f: list[int], d: int, rng: random.Random) -> list[list[int
     return _equal_degree_gf2(g, d, rng) + _equal_degree_gf2(divmod_(f, g, 2)[0], d, rng)
 
 
+def _blocks(coeffs, p: int) -> tuple[list[int], list[tuple[list[int], int, int]]]:
+    """(monic f, [(block, d, multiplicity)]) for a nonzero polynomial over
+    GF(p): each block is the product of the monic irreducible factors of
+    degree d that divide f to exactly that multiplicity."""
+    f = normalize(coeffs, p)
+    if not f:
+        raise DomainError("cannot factor the zero polynomial")
+    if degree(f) == 0:
+        return f, []
+    f = monic(f, p)
+    return f, [(prod, d, mult)
+               for part, mult in squarefree_decomposition(f, p)
+               for prod, d in distinct_degree(part, p)]
+
+
+def degree_pattern(coeffs, p: int) -> list[tuple[int, int]]:
+    """Sorted (multiplicity, degree) pairs of the irreducible factors of a
+    nonzero polynomial over GF(p), without splitting any block: a block of
+    degree D made of degree-d factors holds D/d of them."""
+    _, blocks = _blocks(coeffs, p)
+    return sorted((mult, d) for prod, d, mult in blocks
+                  for _ in range(degree(prod) // d))
+
+
 def factor(coeffs, p: int) -> list[tuple[list[int], int]]:
     """Full factorization of a nonzero polynomial over GF(p).
 
@@ -220,20 +248,12 @@ def factor(coeffs, p: int) -> list[tuple[list[int], int]]:
     coefficients); the leading coefficient is dropped (only monic parts are
     reported).  Deterministic: the equal-degree stage is seeded from (p, f).
     """
-    f = normalize(coeffs, p)
-    if not f:
-        raise DomainError("cannot factor the zero polynomial")
-    if degree(f) == 0:
-        return []
-    f = monic(f, p)
+    f, blocks = _blocks(coeffs, p)
     seed = p
     for c in f:
         seed = (seed * 1000003 + c) % (1 << 61)
     rng = random.Random(seed)
-    out: list[tuple[list[int], int]] = []
-    for part, mult in squarefree_decomposition(f, p):
-        for prod, d in distinct_degree(part, p):
-            for irred in equal_degree(prod, d, p, rng):
-                out.append((irred, mult))
+    out = [(irred, mult) for prod, d, mult in blocks
+           for irred in equal_degree(prod, d, p, rng)]
     out.sort(key=lambda t: (degree(t[0]), t[0][::-1]))
     return out

@@ -1,7 +1,7 @@
 """Number fields K/Q given by a monic irreducible integer polynomial.
 
-Prime splitting through factorization of the defining polynomial over
-GF(p) (Dedekind's criterion), the ideal-norm membership test via
+Prime splitting through the degree pattern of the defining polynomial
+over GF(p) (Dedekind's criterion), the ideal-norm membership test via
 residue-degree gcds, and an empirical prime census for the density of
 primes whose residue degrees are coprime.
 """
@@ -104,7 +104,7 @@ def _factor_degree_candidates(f: list[int]) -> set[int] | None:
             continue
         if gfpoly.degree(gfpoly.gcd_poly(fb, gfpoly.derivative(fb, p), p)) > 0:
             continue  # not squarefree mod p: pattern unusable
-        degs = [gfpoly.degree(g) for g, _ in gfpoly.factor(fb, p)]
+        degs = [d for _, d in gfpoly.degree_pattern(fb, p)]
         if degs == [n]:
             return None
         sums = {0}
@@ -219,7 +219,7 @@ class NumberField:
 class SplittingData:
     """Shape of (p) in O_K: multiset of (ramification index e, residue degree f).
 
-    `reliable` is False when the data is only the formal factorization of
+    `reliable` is False when the data is only the formal degree pattern of
     the defining polynomial mod p and Dedekind's criterion is not certified.
     """
 
@@ -270,20 +270,19 @@ def _fundamental_discriminant(m: int) -> int:
 
 
 def splitting_data(K: NumberField, p: int) -> SplittingData:
-    """(e, f) pairs of the primes above p, via factorization of the defining
-    polynomial over GF(p).
+    """(e, f) pairs of the primes above p, via the degree pattern of the
+    defining polynomial over GF(p): its (multiplicity, degree) pairs.
 
     Certified (reliable) when p^2 does not divide disc_poly or the reduction
     is squarefree; quadratic fields fall back to the exact Kronecker-symbol
-    rule at the remaining primes.  Otherwise the formal factor data is
+    rule at the remaining primes.  Otherwise the formal pattern is
     returned with reliable=False.  Overrides attached to K win outright.
     """
     if not arith.is_prime(p):
         raise DomainError(f"{p} is not prime")
     if p in K.overrides:
         return SplittingData(p, K.overrides[p], reliable=True)
-    factors = gfpoly.factor(list(K.poly), p)
-    pairs = tuple(sorted((mult, gfpoly.degree(g)) for g, mult in factors))
+    pairs = tuple(gfpoly.degree_pattern(K.poly, p))
     squarefree = all(e == 1 for e, _ in pairs)
     reliable = (K.disc_poly % (p * p) != 0) or squarefree
     if not reliable and K.degree == 2:

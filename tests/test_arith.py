@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,18 @@ def test_factorize_large_input():
     n = (10 ** 9 + 7) * (10 ** 9 + 9) * 2 ** 3
     f = arith.factorize(n)
     assert f.factors == ((2, 3), (10 ** 9 + 7, 1), (10 ** 9 + 9, 1))
+
+
+# Two primes of 20 digits: their product is past the Pollard rho budget.
+BIG_P, BIG_Q = 10 ** 19 + 51, 3 * 10 ** 19 + 41
+
+
+def test_factorize_beyond_rho_budget_raises():
+    assert arith.is_prime(BIG_P) and arith.is_prime(BIG_Q)
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match="Pollard rho budget"):
+        arith.factorize(BIG_P * BIG_Q)
+    assert time.perf_counter() - t0 < 30
 
 
 def test_factorize_roundtrip_random():

@@ -141,6 +141,14 @@ def test_levels_zero_is_domain_error(capsys):
         assert err.startswith("error:") and len(err.splitlines()) == 1, err
 
 
+def test_factorization_past_rho_budget_is_domain_error(capsys):
+    t = str((10 ** 19 + 51) * (3 * 10 ** 19 + 41))  # two primes of 20 digits
+    status, out, err = run(capsys, "local", "--a", "13", "--b", "17", "--t", t)
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+
+
 def test_domain_error_exit(capsys):
     status, _, err = run(capsys, "knot", "--a", "4", "--b", "5")
     assert status == 1

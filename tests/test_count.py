@@ -52,6 +52,17 @@ def test_local_tables_match_one_shot_test():
                     assert tables.passes(t) == biquad.is_everywhere_local_norm(F, t)[0], (F, t)
 
 
+def test_count_series_sieves_primes_once(monkeypatch):
+    calls = []
+    sieve = arith.sieve_primes
+    monkeypatch.setattr(arith, "sieve_primes", lambda n: calls.append(n) or sieve(n))
+    for F, half_rule in ((F1317, True), (F35, False)):
+        for B in (1, 300):
+            calls.clear()
+            count.count_series(F, B, minus_one_generates=half_rule)
+            assert calls == [B], (F, B)
+
+
 def test_count_series_matches_naive_recount():
     for F, B in [(F1317, 100)] + P_MINUS_FIELDS:
         # n_loc does not depend on the global mode; cap 1 keeps the search mode cheap

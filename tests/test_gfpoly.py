@@ -28,14 +28,45 @@ def test_factor_fixtures():
     assert gfpoly.factor([1, 0, 1], 2) == [([1, 1], 2)]
 
 
-def test_factor_matches_sympy_random():
+def _random_battery():
+    """250 seeded monic (coeffs, p) with p in 2..13 and degree 1..6."""
     rng = random.Random(31337)
     for _ in range(250):
         p = rng.choice([2, 3, 5, 7, 11, 13])
         deg = rng.randint(1, 6)
-        coeffs = [rng.randrange(p) for _ in range(deg)] + [1]
+        yield [rng.randrange(p) for _ in range(deg)] + [1], p
+
+
+def _pattern(factors):
+    return sorted((m, gfpoly.degree(f)) for f, m in factors)
+
+
+def test_factor_matches_sympy_random():
+    for coeffs, p in _random_battery():
         mine = [(f, m) for f, m in gfpoly.factor(coeffs, p)]
         assert mine == _sympy_factor(coeffs, p), (coeffs, p)
+
+
+def test_degree_pattern_matches_factor_and_sympy():
+    for coeffs, p in _random_battery():
+        pattern = gfpoly.degree_pattern(coeffs, p)
+        assert pattern == _pattern(gfpoly.factor(coeffs, p)), (coeffs, p)
+        assert pattern == _pattern(_sympy_factor(coeffs, p)), (coeffs, p)
+
+
+def test_degree_pattern_repeated_and_inseparable():
+    x2_plus_1_cubed = gfpoly.mul(gfpoly.mul([1, 0, 1], [1, 0, 1], 3), [1, 0, 1], 3)
+    cases = [
+        ([0] * 9 + [1], 3, [(9, 1)]),               # x^9 mod 3
+        (x2_plus_1_cubed, 3, [(3, 2)]),             # (x^2+1)^3 mod 3
+        ([16, 0, -60, 0, 1], 2, [(4, 1)]),          # x^4 - 60x^2 + 16 = x^4 mod 2
+        ([16, 0, -60, 0, 1], 5, [(1, 2), (1, 2)]),  # x^4 + 1: one block, two factors
+        ([3], 7, []),                               # nonzero constant
+    ]
+    for coeffs, p, want in cases:
+        assert gfpoly.degree_pattern(coeffs, p) == want, (coeffs, p)
+        assert _pattern(gfpoly.factor(coeffs, p)) == want, (coeffs, p)
+        assert _pattern(_sympy_factor(gfpoly.normalize(coeffs, p), p)) == want, (coeffs, p)
 
 
 def test_factor_reassembles_input():
@@ -59,6 +90,10 @@ def test_factor_deterministic():
 def test_factor_zero_rejected():
     with pytest.raises(DomainError):
         gfpoly.factor([0, 0], 5)
+    with pytest.raises(DomainError):
+        gfpoly.degree_pattern([0, 0], 5)
+    with pytest.raises(DomainError):
+        gfpoly.degree_pattern([5, 10], 5)
 
 
 def test_high_multiplicity_and_char_collapse():

@@ -126,6 +126,14 @@ def test_delta_estimates_small():
         numfield.delta_K_estimate(GAUSS, 50)
 
 
+def test_census_pins_at_2000():
+    # the prime-census benchmark's inputs; criterion 09 runs the census at 10^6
+    assert numfield.delta_K_estimate(QUARTIC_13_17, 2000)[:2] == (71, 300)
+    assert numfield.delta_K_estimate(GAUSS, 2000)[:2] == (147, 302)
+    rows = numfield.count_ideal_norms(GAUSS, 2000)
+    assert rows[-3:] == [(500, 177), (1000, 330), (2000, 619)]
+
+
 def test_count_ideal_norms_gauss():
     rows = numfield.count_ideal_norms(GAUSS, 100)
     assert rows[-1] == (100, 43)
