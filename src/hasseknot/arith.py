@@ -2,7 +2,9 @@
 
 Factorization of arbitrary-precision rationals, the Kronecker symbol,
 p-adic square classes, and the Hilbert symbol at every place of Q.
-Everything here is exact integer/Fraction arithmetic; no floats.
+Everything here is exact integer/Fraction arithmetic; no floats.  Square
+classes and Hilbert symbols reduce a rational num / den to the int num * den
+of its square class, so the symbols run on Python ints only.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ from .errors import DomainError
 
 _TRIAL_LIMIT = 10 ** 6
 
-# Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10^24.
+# Deterministic Miller-Rabin witness set, valid below _MR_LIMIT: the
+# smallest strong pseudoprime to all twelve bases, 1287836182261 * 2575672364521.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 3317044064679887385961981
 
 _small_primes: list[int] | None = None
 
@@ -44,10 +48,13 @@ def sieve_primes(limit: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (trial by tiny primes, then Miller-Rabin)."""
+    """Primality by trial division by tiny primes, then Miller-Rabin on the
+    witness set that is deterministic below _MR_LIMIT; from _MR_LIMIT on,
+    Baillie-PSW (a strong base-2 test and a strong Lucas test), which has
+    no known counterexample."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -55,7 +62,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES if n < _MR_LIMIT else (2,):
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -65,7 +72,47 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_LIMIT or _strong_lucas(n)
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n > 2 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D|n) = -1, P = 1,
+    Q = (1 - D) / 4 (Baillie and Wagstaff, Math. Comp. 35, 1980)."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D with (D|n) = -1 exists
+    D = 5
+    while True:
+        j = kronecker(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            return abs(D) == n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x: int) -> int:
+        x %= n
+        return (x + n if x % 2 else x) // 2
+
+    # U_k, V_k, Q^k mod n from k = 1 up the bits of d, with P = 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 # Polynomial steps Pollard-Brent rho may take on one composite, over all the
@@ -118,7 +165,7 @@ def _pollard_rho(n: int) -> int:
 
 
 def _factor_positive(n: int) -> dict[int, int]:
-    """Exponent map of n >= 1; trial division, then Miller-Rabin + Pollard rho."""
+    """Exponent map of n >= 1; trial division, then is_prime + Pollard rho."""
     out: dict[int, int] = {}
     for p in _trial_primes():
         if p * p > n:
@@ -276,67 +323,67 @@ def kronecker(a: int, n: int) -> int:
     return k if n == 1 else 0
 
 
-def val_unit(t: Fraction | int, p: int) -> tuple[int, Fraction]:
-    """(ord_p(t), u) with t = p^ord * u and u a p-adic unit."""
-    t = Fraction(t)
-    if t == 0:
-        raise DomainError("ord_p(0) undefined")
-    num, den = t.numerator, t.denominator
+def _square_class(t: Fraction | int) -> int:
+    """The int num * den, which lies in the square class of t = num / den."""
+    if isinstance(t, int):
+        r = t
+    else:
+        t = Fraction(t)
+        r = t.numerator * t.denominator
+    if r == 0:
+        raise DomainError("square class of 0 undefined")
+    return r
+
+
+def _ord_unit(n: int, p: int) -> tuple[int, int]:
+    """(ord_p(n), u) with n = p^ord * u for a nonzero int n."""
     v = 0
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
-
-
-def _unit_residue(u: Fraction, mod: int) -> int:
-    """Residue of a mod-coprime rational u modulo mod."""
-    return u.numerator * pow(u.denominator, -1, mod) % mod
+    return v, n
 
 
 def is_square_local(d: Fraction | int, v: Place) -> bool:
     """True iff d is a square in the completion of Q at v.
 
+    A rational d is reduced to the int num * den of its square class.
     Real place: d > 0.  Odd p: even valuation and unit part a QR mod p.
     p = 2: even valuation and unit part = 1 mod 8.
     """
-    d = Fraction(d)
-    if d == 0:
-        raise DomainError("square class of 0 undefined")
-    if not v.is_finite:
-        return d > 0
+    d = _square_class(d)
     p = v.p
-    val, u = val_unit(d, p)
-    if val % 2 != 0:
+    if p is None:
+        return d > 0
+    val, u = _ord_unit(d, p)
+    if val % 2:
         return False
     if p == 2:
-        return _unit_residue(u, 8) == 1
-    return kronecker(_unit_residue(u, p), p) == 1
+        return u % 8 == 1
+    return kronecker(u, p) == 1
 
 
 def hilbert(a: Fraction | int, b: Fraction | int, v: Place) -> int:
     """Hilbert symbol (a,b)_v: +1 iff z^2 = a x^2 + b y^2 has a nontrivial
     solution over the completion of Q at v.
 
-    Closed forms: at the real place, -1 iff a < 0 and b < 0; at odd p via
-    Legendre symbols and valuations; at p = 2 via the units-mod-8 formula
+    The symbol depends only on the square classes of a and b, so a rational
+    argument num / den is reduced to the int num * den first.  Closed forms
+    (Serre, A Course in Arithmetic, ch. III): at the real place, -1 iff
+    a < 0 and b < 0; at odd p via Legendre symbols and valuations; at p = 2
+    via the units-mod-8 formula
     (-1)^(eps(u)eps(w) + alpha*omega(w) + beta*omega(u)).
     """
-    a = Fraction(a)
-    b = Fraction(b)
-    if a == 0 or b == 0:
-        raise DomainError("hilbert symbol needs nonzero arguments")
-    if not v.is_finite:
-        return -1 if (a < 0 and b < 0) else 1
+    a = _square_class(a)
+    b = _square_class(b)
     p = v.p
-    alpha, u = val_unit(a, p)
-    beta, w = val_unit(b, p)
+    if p is None:
+        return -1 if (a < 0 and b < 0) else 1
+    alpha, u = _ord_unit(a, p)
+    beta, w = _ord_unit(b, p)
     if p == 2:
-        un = _unit_residue(u, 8)
-        wn = _unit_residue(w, 8)
+        un = u % 8
+        wn = w % 8
         eps_u = (un - 1) // 2 % 2
         eps_w = (wn - 1) // 2 % 2
         omega_u = (un * un - 1) // 8 % 2
@@ -347,9 +394,9 @@ def hilbert(a: Fraction | int, b: Fraction | int, v: Place) -> int:
     if alpha % 2 and beta % 2 and p % 4 == 3:
         s = -s
     if beta % 2:
-        s *= kronecker(_unit_residue(u, p), p)
+        s *= kronecker(u, p)
     if alpha % 2:
-        s *= kronecker(_unit_residue(w, p), p)
+        s *= kronecker(w, p)
     return s
 
 

@@ -32,7 +32,9 @@ class BiquadField:
     Inputs are reduced to squarefree kernels; construction fails if a, b or
     ab is a square (the extension would degenerate below degree 4).  `d3` is
     the squarefree kernel of a*b, so the three quadratic subfields are
-    Q(sqrt a), Q(sqrt b), Q(sqrt d3).
+    Q(sqrt a), Q(sqrt b), Q(sqrt d3).  `survey` holds the (place, local
+    type) pairs at infinity, then at the primes dividing 2ab in increasing
+    order, computed once.
     """
 
     def __init__(self, a, b):
@@ -47,6 +49,9 @@ class BiquadField:
         self.d3 = d3
         self.ramified_support = frozenset(
             {2} | set(arith.factorize(a * b).primes))
+        self.survey = tuple(
+            (v, local_type(self, v)) for v in
+            [INFINITE_PLACE] + [Place(p) for p in sorted(self.ramified_support)])
 
     def __repr__(self):
         return f"BiquadField({self.a}, {self.b})"
@@ -96,9 +101,18 @@ class NormCertificate:
 def local_type(F: BiquadField, v: Place) -> LocalType:
     """Completion type at v from the square classes of a, b, ab.
 
-    The product of the three classes is a square, so the number s of local
+    Away from 2ab and infinity, a and b are units at p and the type follows
+    from (a|p) and (b|p): split when both are 1, else Quadratic(b) if
+    (a|p) = 1 and Quadratic(a) otherwise.  At the exceptional places the
+    product of the three classes is a square, so the number s of local
     squares among them is 3, 1 or 0; s = 2 would indicate a broken Hilbert
     kernel and raises."""
+    p = v.p
+    if p is not None and p not in F.ramified_support:
+        ka = arith.kronecker(F.a, p)
+        if ka == 1 and arith.kronecker(F.b, p) == 1:
+            return LocalType(SPLIT)
+        return LocalType(QUADRATIC, F.b if ka == 1 else F.a)
     classes = (F.a, F.b, F.d3)
     squares = [arith.is_square_local(d, v) for d in classes]
     s = sum(squares)
@@ -113,14 +127,10 @@ def local_type(F: BiquadField, v: Place) -> LocalType:
         f"exactly two of {classes} are squares at {v}: impossible")
 
 
-def exceptional_places(F: BiquadField) -> list[Place]:
-    """The infinite place and the primes dividing 2ab; everywhere else the
-    local type is Split or Quadratic with g_v in {2, 4}."""
-    return [INFINITE_PLACE] + [Place(p) for p in sorted(F.ramified_support)]
-
-
 def local_survey(F: BiquadField) -> list[tuple[Place, LocalType]]:
-    return [(v, local_type(F, v)) for v in exceptional_places(F)]
+    """The local types at the infinite place and the primes dividing 2ab;
+    everywhere else the local type is Split or Quadratic with g_v in {2, 4}."""
+    return list(F.survey)
 
 
 def knot_order(F: BiquadField) -> int:
@@ -132,47 +142,51 @@ def knot_order(F: BiquadField) -> int:
     exceptional place has the full biquadratic completion (g_v = 1), and 2
     otherwise.
     """
-    for _, lt in local_survey(F):
+    for _, lt in F.survey:
         if lt.kind == BIQUADRATIC:
             return 1
     return 2
 
 
-def is_local_norm(F: BiquadField, t: Fraction | int, v: Place) -> bool:
-    """Whether t is a norm from the completion of K at v.
+def _verdict(F: BiquadField, t: Fraction | int, v: Place, lt: LocalType) -> PlaceVerdict:
+    """Whether t is a norm from the completion of K at v, of local type lt.
 
     Split: everything is a norm.  Quadratic(d): Hilbert symbol (t, d)_v = 1.
     Biquadratic: t must be a norm from both Q_v(sqrt a) and Q_v(sqrt b)."""
+    if lt.kind == SPLIT:
+        ok = True
+    elif lt.kind == QUADRATIC:
+        ok = arith.hilbert(t, lt.d, v) == 1
+    else:
+        ok = arith.hilbert(t, F.a, v) == 1 and arith.hilbert(t, F.b, v) == 1
+    return PlaceVerdict(v, lt, ok)
+
+
+def is_local_norm(F: BiquadField, t: Fraction | int, v: Place) -> bool:
+    """Whether t is a norm from the completion of K at v."""
     t = Fraction(t)
     if t == 0:
         raise DomainError("t must be nonzero")
-    lt = local_type(F, v)
-    if lt.kind == SPLIT:
-        return True
-    if lt.kind == QUADRATIC:
-        return arith.hilbert(t, lt.d, v) == 1
-    return arith.hilbert(t, F.a, v) == 1 and arith.hilbert(t, F.b, v) == 1
+    return _verdict(F, t, v, local_type(F, v)).local_norm
 
 
 def is_everywhere_local_norm(F: BiquadField, t: Fraction | int
                              ) -> tuple[bool, list[PlaceVerdict]]:
     """Test t at the finite set of relevant places: infinity, 2, p | ab and
     p | t.  At every other place t is a unit in an unramified completion and
-    all symbols are +1.  Returns (verdict, per-place report)."""
+    all symbols are +1.  The exceptional places take their types from the
+    field's survey; each other place's type is computed once.  Returns
+    (verdict, per-place report)."""
     t = Fraction(t)
     if t == 0:
         raise DomainError("t must be nonzero")
-    places: list[Place] = [INFINITE_PLACE]
-    ps = set(F.ramified_support)
-    ps.update(arith.factorize(t).primes)
-    places += [Place(p) for p in sorted(ps)]
-    report = []
-    verdict = True
-    for v in places:
-        ok = is_local_norm(F, t, v)
-        report.append(PlaceVerdict(v, local_type(F, v), ok))
-        verdict = verdict and ok
-    return verdict, report
+    r = t.numerator * t.denominator  # the square class of t, as an int
+    typed = list(F.survey[1:])
+    typed += [(v, local_type(F, v)) for v in
+              (Place(p) for p in arith.factorize(t).primes if p not in F.ramified_support)]
+    typed.sort(key=lambda pair: pair[0].p)
+    report = [_verdict(F, r, v, lt) for v, lt in [F.survey[0], *typed]]
+    return all(pv.local_norm for pv in report), report
 
 
 def report_to_json(t: Fraction | int, report: list[PlaceVerdict]) -> dict:

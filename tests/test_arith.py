@@ -117,6 +117,16 @@ def test_is_square_local_fixtures():
     assert arith.is_square_local(4, INFINITE_PLACE)
     assert arith.is_square_local(Fraction(9, 4), Place(5))
     assert not arith.is_square_local(5, Place(5))     # odd valuation
+    # p in the denominator
+    assert not arith.is_square_local(Fraction(1, 5), Place(5))
+    assert arith.is_square_local(Fraction(1, 25), Place(5))
+    assert arith.is_square_local(Fraction(6, 25), Place(5))       # 6 = 1 mod 5
+    assert not arith.is_square_local(Fraction(2, 25), Place(5))   # 2 is no QR mod 5
+    assert arith.is_square_local(Fraction(-7, 4), Place(2))       # -7 = 1 mod 8
+    assert not arith.is_square_local(Fraction(5, 16), Place(2))   # 5 mod 8
+    assert not arith.is_square_local(Fraction(3, 8), Place(2))    # odd valuation
+    assert arith.is_square_local(Fraction(13, 36), Place(3))     # 13 = 1 mod 3
+    assert not arith.is_square_local(Fraction(-1, 4), INFINITE_PLACE)
 
 
 def test_hilbert_fixtures():
@@ -134,6 +144,15 @@ def test_hilbert_against_bruteforce_battery():
             for b in squarefree:
                 assert arith.hilbert(a, b, Place(p)) == hilbert_bruteforce(a, b, p), \
                     (a, b, p)
+    # x / y lies in the square class of x * y; coprime x, y with x * y squarefree
+    # put p in the numerator, the denominator or neither
+    rationals = [(1, 2), (-1, 3), (3, 2), (-5, 2), (2, 5), (1, 7), (-3, 7), (7, 6),
+                 (5, 3), (-2, 15), (1, 10), (-7, 5)]
+    for p in (2, 3, 5, 7):
+        for x, y in rationals:
+            for b in (-1, 2, -3, 5, 7, -6):
+                assert arith.hilbert(Fraction(x, y), b, Place(p)) == \
+                    hilbert_bruteforce(x * y, b, p), (x, y, b, p)
 
 
 def test_hilbert_product_formula_random():
@@ -197,3 +216,28 @@ def test_squarefree_kernel():
 def test_is_prime_spot_checks():
     assert arith.is_prime(2) and arith.is_prime(10 ** 9 + 7)
     assert not arith.is_prime(1) and not arith.is_prime(561)  # Carmichael
+
+
+# The smallest strong pseudoprime to all twelve Miller-Rabin witness bases.
+MR_PSEUDOPRIME = 3317044064679887385961981
+
+
+def test_is_prime_beyond_the_deterministic_witnesses():
+    assert not arith.is_prime(MR_PSEUDOPRIME)
+    with pytest.raises(DomainError):
+        Place(MR_PSEUDOPRIME)
+    assert arith.factorize(MR_PSEUDOPRIME).factors == \
+        ((1287836182261, 1), (2575672364521, 1))
+    assert arith.is_prime(2 ** 89 - 1) and arith.is_prime(2 ** 127 - 1)
+    assert not arith.is_prime((2 ** 89 - 1) * (2 ** 127 - 1))
+
+
+def test_strong_lucas_pseudoprimes():
+    # the odd composites below 10^5 that pass the strong Lucas test with
+    # Selfridge's parameters (OEIS A217255)
+    primes = set(arith.sieve_primes(10 ** 5))
+    passing = [n for n in range(3, 10 ** 5, 2)
+               if n not in primes and arith._strong_lucas(n)]
+    assert passing == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
+                       40309, 58519, 75077, 97439]
+    assert all(arith._strong_lucas(p) for p in primes if p > 2)

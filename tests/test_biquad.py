@@ -9,6 +9,8 @@ from hasseknot.arith import INFINITE_PLACE, Place
 from hasseknot.biquad import BiquadField, SearchConfig
 from hasseknot.errors import ConfigError, DegenerateFieldError, DomainError
 
+from oracles import is_square_mod_p_bruteforce
+
 F1317 = BiquadField(13, 17)
 F35 = BiquadField(3, 5)
 
@@ -37,6 +39,22 @@ def test_local_type_fixtures():
     assert lt.kind == biquad.QUADRATIC and lt.d == 13 and lt.g_v == 2
     assert biquad.local_type(F35, Place(2)).kind == biquad.BIQUADRATIC
     assert biquad.local_type(BiquadField(-1, 5), Place(2)).kind == biquad.BIQUADRATIC
+
+
+def test_local_type_away_from_2ab():
+    fields = [(13, 17), (3, 5), (-1, 5), (2, 7), (-3, 13), (-1, -2), (6, 10), (5, -7)]
+    for a, b in fields:
+        F = BiquadField(a, b)
+        for p in arith.sieve_primes(500):
+            if (2 * F.a * F.b) % p == 0:
+                continue
+            classes = (F.a, F.b, F.d3)
+            nonsquares = [d for d in classes if not is_square_mod_p_bruteforce(d, p)]
+            lt = biquad.local_type(F, Place(p))
+            if nonsquares:
+                assert (lt.kind, lt.d) == (biquad.QUADRATIC, nonsquares[0]), (a, b, p)
+            else:
+                assert (lt.kind, lt.d) == (biquad.SPLIT, None), (a, b, p)
 
 
 def test_local_type_never_two_squares():
