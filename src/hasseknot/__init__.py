@@ -38,7 +38,9 @@ from .count import (
     count_integer_norms_local,
     count_series,
     enumerate_heights,
+    fit_counts,
     fit_exponent,
+    n_loc_series,
     series_to_csv,
     series_to_json,
 )

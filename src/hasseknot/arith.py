@@ -165,11 +165,14 @@ def _pollard_rho(n: int) -> int:
 
 
 def _factor_positive(n: int) -> dict[int, int]:
-    """Exponent map of n >= 1; trial division, then is_prime + Pollard rho."""
+    """Exponent map of n >= 1; trial division, then is_prime + Pollard rho
+    on a leftover that outlasts the trial primes."""
     out: dict[int, int] = {}
     for p in _trial_primes():
-        if p * p > n:
-            break
+        if p * p > n:  # no factor below p is left, so n is 1 or a prime
+            if n > 1:
+                out[n] = 1
+            return out
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p

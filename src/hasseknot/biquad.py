@@ -249,6 +249,21 @@ def _int64_safe_radius(a: int, b: int) -> int:
     return r
 
 
+def _shells(a: int, b: int, cap: int):
+    """Shell radii 1..cap; DomainError at the first one whose norm values
+    can overflow int64 for (a, b)."""
+    safe_r = _int64_safe_radius(a, b)
+    for r in range(1, cap + 1):
+        if r > safe_r:
+            if safe_r < 1:
+                raise DomainError(f"(a,b)=({a},{b}) is too large for the exact int64 "
+                                  f"search: no shell fits")
+            raise DomainError(
+                f"shell {r} exceeds the exact int64 range for (a,b)=({a},{b}); "
+                f"cap must be <= {safe_r}")
+        yield r
+
+
 def _face_boxes(r: int):
     """Coordinate boxes whose union is the n0,n1,n2 >= 0 part of the surface
     max(n0, n1, n2, |n3|) = r."""
@@ -307,15 +322,10 @@ def _shell_search(F: BiquadField, targets: dict[str, Fraction], cap: int
             v = tval * q ** 4
             if v.denominator == 1:
                 value_map.setdefault(int(v), (label, q))
-    safe_r = _int64_safe_radius(a, b)
     i64max = (1 << 63) - 1
     tvals = np.array(sorted(v for v in value_map if abs(v) <= i64max), dtype=np.int64)
     pending: dict[int, list] = {}
-    for r in range(1, cap + 1):
-        if r > safe_r:
-            raise DomainError(
-                f"shell {r} exceeds the exact int64 range for (a,b)=({a},{b}); "
-                f"cap must be <= {safe_r}")
+    for r in _shells(a, b, cap):
         if tvals.size:
             for box in _face_boxes(r):
                 for v0, v1, v2, v3 in _chunked(box):
@@ -377,11 +387,7 @@ def negative_norm_witness(F: BiquadField, cap: int) -> NormCertificate | None:
     a q > 1 witness would be preceded by its integral version anyway."""
     a, b = F.a, F.b
     ab = a * b
-    safe_r = _int64_safe_radius(a, b)
-    for r in range(1, cap + 1):
-        if r > safe_r:
-            raise DomainError(
-                f"shell {r} exceeds the exact int64 range for (a,b)=({a},{b})")
+    for r in _shells(a, b, cap):
         best = None
         for box in _face_boxes(r):
             for v0, v1, v2, v3 in _chunked(box):

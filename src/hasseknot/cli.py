@@ -287,9 +287,12 @@ def _cmd_count_integers(args) -> int:
 
 def _cmd_fit(args) -> int:
     F = biquad.BiquadField(args.a, args.b)
-    series = count.count_series(F, args.bound, args.levels,
-                                minus_one_generates=args.minus_one_generates)
-    fit = count.fit_exponent(series, args.which)
+    if args.which == "loc":  # n_loc needs no global count, so no search
+        fit = count.fit_counts(*count.n_loc_series(F, args.bound, args.levels))
+    else:
+        series = count.count_series(F, args.bound, args.levels,
+                                    minus_one_generates=args.minus_one_generates)
+        fit = count.fit_exponent(series, args.which)
     _emit({"c_hat": fit.c_hat, "e_hat": fit.e_hat, "residual": fit.residual},
           f"c_hat={fit.c_hat:.6g} e_hat={fit.e_hat:.4f} residual={fit.residual:.4g}",
           args.format)

@@ -6,7 +6,9 @@ sieving over the primes up to B: the Hilbert-symbol bits of each prime at the
 fixed places (infinity, 2, p | ab) are XORed into a bitmask profile of its
 multiples wherever its exponent is odd, and the other primes only need the
 parity of their exponent.  N_loc counts the coprime pairs with matching
-profiles by Moebius inversion over the common divisor.  The global count
+profiles by Moebius inversion over the common divisor; the profile-class
+histograms of the multiples of the squarefree divisors are built by one
+bincount per chunk of consecutive divisors.  The global count
 comes from the exact half rule when the knot group is Z/2 generated by -1,
 from equality when the knot group is trivial, and from a certificate-search
 lower bound otherwise.
@@ -15,6 +17,7 @@ lower bound otherwise.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +31,10 @@ from .numfield import doubling_grid
 HALF_RULE = "half_rule"
 TRIVIAL_KNOT = "trivial_knot"
 SEARCH_LOWER_BOUND = "search_lower_bound"
+
+# multiples k*d per chunk of squarefree divisors in _n_loc_series, and the
+# cap on that chunk's histogram cells
+_PAIRS = 1 << 12
 
 
 def enumerate_heights(B: int):
@@ -148,7 +155,13 @@ def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
     """n_loc(B_i) = sum over squarefree d <= B_i of mu(d) * sum_c H_d[c] *
     (H_d[c] + H_d[c ^ p_minus]), where H_d is the histogram of profile
     classes over the passing multiples of d up to B_i: Moebius inversion of
-    the count of pairs (a, b) with a ~ b (sign +) or a ~ -b (sign -)."""
+    the count of pairs (a, b) with a ~ b (sign +) or a ~ -b (sign -).
+
+    The squarefree d <= B_i are taken in increasing order and split into
+    chunks of consecutive divisors with at most _PAIRS multiples k*d and at
+    most _PAIRS histogram cells between them, or a single d that alone has
+    more.  One bincount over row * (C + 1) + class builds the histograms of
+    a whole chunk as the rows of an array, C being the fail class."""
     B = grid[-1]
     profiles, cid = np.unique(tables.profile[:B + 1], return_inverse=True)
     C = len(profiles)
@@ -160,15 +173,35 @@ def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
     for p in tables.primes:
         mu[p::p] *= -1
         mu[p * p::p * p] = 0
+    max_rows = max(1, _PAIRS // (C + 1))
     totals = []
     for Bi in grid:
+        ds = np.flatnonzero(mu[1:Bi + 1]) + 1
+        sizes = Bi // ds  # multiples of each d up to B_i
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
         total = 0
-        for d in np.flatnonzero(mu[1:Bi + 1]) + 1:
-            h = np.bincount(cid[d:Bi + 1:d], minlength=C + 1)
-            h[C] = 0
-            total += int(mu[d]) * int(h @ (h + h[partner]))
+        lo = 0
+        while lo < len(ds):
+            hi = int(np.searchsorted(ends, starts[lo] + _PAIRS, side="right"))
+            hi = min(max(hi, lo + 1), lo + max_rows)
+            # the pair at position i of the level is k * ds[row], k = i - starts[row] + 1
+            pos = np.arange(starts[lo], ends[hi - 1])
+            row = np.repeat(np.arange(lo, hi), sizes[lo:hi])
+            cells = (row - lo) * (C + 1) + cid[(pos - starts[row] + 1) * ds[row]]
+            h = np.bincount(cells, minlength=(hi - lo) * (C + 1)).reshape(hi - lo, C + 1)
+            h[:, C] = 0
+            total += int(np.einsum("r,rc,rc->", mu[ds[lo:hi]], h, h + h[:, partner]))
+            lo = hi
         totals.append(total)
     return totals
+
+
+def n_loc_series(F: biquad.BiquadField, B: int, levels: int | None = None
+                 ) -> tuple[list[int], list[int]]:
+    """The doubling grid B/2^k and the exact N_loc at each of its points."""
+    grid = doubling_grid(B, levels)
+    return grid, _n_loc_series(grid, local_tables(F, B))
 
 
 def count_series(F: biquad.BiquadField, B: int, levels: int | None = None, *,
@@ -186,9 +219,7 @@ def count_series(F: biquad.BiquadField, B: int, levels: int | None = None, *,
     `workers` is accepted for compatibility and has no effect: the count
     runs in one process.
     """
-    grid = doubling_grid(B, levels)
-    tables = local_tables(F, B)
-    n_loc = _n_loc_series(grid, tables)
+    grid, n_loc = n_loc_series(F, B, levels)
     g = biquad.knot_order(F)
     if g == 1:
         mode = GlobMode(TRIVIAL_KNOT)
@@ -202,6 +233,7 @@ def count_series(F: biquad.BiquadField, B: int, levels: int | None = None, *,
             raise DomainError("n_loc is odd; the t <-> -t involution is broken")
         n_glob = [nl // 2 for nl in n_loc]
     else:
+        tables = local_tables(F, B)
         resolved = np.zeros(len(grid), dtype=np.int64)
         unknowns = 0
         for t in enumerate_heights(B):
@@ -233,12 +265,17 @@ def count_integer_norms_local(F: biquad.BiquadField, B: int,
 
 
 def fit_exponent(series: CountSeries, which: str = "loc") -> FitResult:
-    """Least squares fit of log(count) = log c + 2 log B - e log log B over
-    the grid points with B >= 32."""
+    """fit_counts on the grid and the n_loc (which="loc") or n_glob
+    (which="glob") of a series."""
     if which not in ("loc", "glob"):
         raise DomainError("which must be 'loc' or 'glob'")
-    counts = series.n_loc if which == "loc" else series.n_glob
-    pts = [(B, c) for B, c in zip(series.grid, counts) if B >= 32]
+    return fit_counts(series.grid, series.n_loc if which == "loc" else series.n_glob)
+
+
+def fit_counts(grid: Sequence[int], counts: Sequence[int]) -> FitResult:
+    """Least squares fit of log(count) = log c + 2 log B - e log log B over
+    the grid points with B >= 32."""
+    pts = [(B, c) for B, c in zip(grid, counts) if B >= 32]
     if len(pts) < 4:
         raise DomainError("need at least 4 grid points with B >= 32")
     if any(c <= 0 for _, c in pts):

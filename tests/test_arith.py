@@ -38,6 +38,19 @@ def test_factorize_large_input():
     assert f.factors == ((2, 3), (10 ** 9 + 7, 1), (10 ** 9 + 9, 1))
 
 
+def test_factorize_tests_primality_only_past_trial_division(monkeypatch):
+    calls = []
+    is_prime = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    # trial division stops at 11 * 11 > 97, which proves 97 prime
+    assert arith.factorize(2 * 97).factors == ((2, 1), (97, 1))
+    assert calls == []
+    # both primes are past the trial limit, so the leftover needs the test
+    p, q = 10 ** 6 + 3, 10 ** 6 + 33
+    assert arith.factorize(p * q).factors == ((p, 1), (q, 1))
+    assert calls and all(is_prime(n) == (n in (p, q)) for n in calls)
+
+
 # Two primes of 20 digits: their product is past the Pollard rho budget.
 BIG_P, BIG_Q = 10 ** 19 + 51, 3 * 10 ** 19 + 41
 

@@ -126,6 +126,29 @@ def test_fit(capsys):
     assert set(payload) == {"c_hat", "e_hat", "residual"}
 
 
+def test_fit_loc_runs_no_search(capsys, monkeypatch):
+    from hasseknot import biquad
+
+    def no_search(*args):
+        raise AssertionError("fit --which loc searched for a certificate")
+
+    field = ("--a", "13", "--b", "17", "--bound", "4096", "--format", "json")
+    status, half_rule, _ = run(capsys, "fit", *field, "--minus-one-generates")
+    assert status == 0
+    monkeypatch.setattr(biquad, "certificate_search", no_search)
+    status, out, _ = run(capsys, "fit", *field)
+    assert status == 0
+    assert out == half_rule
+
+
+def test_radicand_too_large_for_int64_search(capsys):
+    status, out, err = run(capsys, "global", "--a", "1000000007", "--b", "17", "--t", "25")
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert "too large for the exact int64 search" in err
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "knot", "--a", "13")[0] == 2        # missing --b
     assert run(capsys, "no-such-command")[0] == 2

@@ -72,6 +72,25 @@ def test_count_series_matches_naive_recount():
             assert naive[Bi] == nl, (F, Bi)
 
 
+def test_n_loc_pins():
+    # n_loc at B as the counter with one bincount per divisor gave it
+    for F, B, n_loc in ((F1317, 1 << 15, 7658302), (F35, 1 << 15, 3388475),
+                        (BiquadField(-3, 13), 1 << 15, 5661077),
+                        (F1317, 1 << 17, 96812070)):
+        assert count.n_loc_series(F, B, levels=1) == ([B], [n_loc]), (F, B)
+
+
+def test_n_loc_chunk_boundaries(monkeypatch):
+    cases = [(F, B) for F in [F1317] + [F for F, _ in P_MINUS_FIELDS] for B in (1, 2, 3, 2048)]
+    expected = [count.n_loc_series(F, B) for F, B in cases]
+    # These fields have 8 or 64 profile classes, so 7 makes a chunk of every
+    # d, 64 makes chunks of up to 7 divisors, and 2^20 takes each level whole.
+    for pairs in (7, 64, 1 << 20):
+        monkeypatch.setattr(count, "_PAIRS", pairs)
+        for (F, B), want in zip(cases, expected):
+            assert count.n_loc_series(F, B) == want, (pairs, F, B)
+
+
 def test_count_series_half_rule_invariants():
     series = count.count_series(F1317, 256, minus_one_generates=True)
     assert series.glob_mode.kind == count.HALF_RULE
