@@ -211,10 +211,6 @@ class Place:
 INFINITE_PLACE = Place(None)
 
 
-def finite(p: int) -> Place:
-    return Place(p)
-
-
 @dataclass(frozen=True)
 class Factorization:
     """sign * prod p^e with primes strictly increasing; negative exponents

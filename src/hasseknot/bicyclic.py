@@ -30,9 +30,6 @@ class BicyclicGroup:
     def order(self) -> int:
         return self.m * self.n
 
-    def elements(self):
-        return ((i, j) for i in range(self.m) for j in range(self.n))
-
     def reduce(self, g) -> tuple[int, int]:
         try:
             i, j = g
@@ -69,11 +66,6 @@ def subgroup_closure(G: BicyclicGroup, generators) -> frozenset:
     return frozenset(elems)
 
 
-def cyclic_subgroups(G: BicyclicGroup) -> set[frozenset]:
-    """All cyclic subgroups, as the closures of single elements."""
-    return {subgroup_closure(G, [g]) for g in G.elements()}
-
-
 def knot_bicyclic(G: BicyclicGroup, extra: DecompositionSpec | None = None) -> int:
     """Order of the knot group: gcd over indices of all cyclic subgroups and
     of the supplied extra decomposition groups."""
@@ -84,14 +76,9 @@ def knot_bicyclic_report(G: BicyclicGroup, extra: DecompositionSpec | None = Non
                          ) -> tuple[int, list[tuple[int, str]]]:
     """(g, witnesses): each witness is an (index, description); the listed
     indices jointly achieve the gcd g."""
-    indices = sorted(G.order // len(H) for H in cyclic_subgroups(G))
-    g = 0
-    for idx in indices:
-        g = math.gcd(g, idx)
     # the maximal cyclic subgroup has index m*n/lcm = gcd(m,n), which divides
     # every other cyclic index, so it realizes the gcd of the whole family
-    if g != indices[0]:
-        raise AssertionError("cyclic index family should be dominated by its minimum")
+    g = math.gcd(G.m, G.n)
     witnesses = [(g, "maximal cyclic subgroup (unramified place)")]
     if extra is not None:
         for k, gens in enumerate(extra.subgroups):

@@ -127,12 +127,6 @@ def local_type(F: BiquadField, v: Place) -> LocalType:
         f"exactly two of {classes} are squares at {v}: impossible")
 
 
-def local_survey(F: BiquadField) -> list[tuple[Place, LocalType]]:
-    """The local types at the infinite place and the primes dividing 2ab;
-    everywhere else the local type is Split or Quadratic with g_v in {2, 4}."""
-    return list(F.survey)
-
-
 def knot_order(F: BiquadField) -> int:
     """Order of the knot group: gcd of the g_v over all places.
 
@@ -233,7 +227,11 @@ def mul_coords(F: BiquadField, x, y) -> tuple[Fraction, Fraction, Fraction, Frac
 # ascending, so positive witnesses precede their negatives.  The quartic norm
 # is invariant under the eight sign patterns eps*(1, s, t, st) (Galois
 # conjugation and -xi), so only the n0, n1, n2 >= 0 cone is evaluated and
-# matches are expanded back to full sign orbits before ordering.
+# matches are expanded back to full sign orbits before ordering.  One
+# generator, _scan, evaluates the integer norms shell by shell and yields the
+# points a predicate marks; _least picks the first certificate of a shell.
+# A hit at shell s <= cap does not depend on the cap, so one search to the
+# largest cap returns what escalating caps would.
 
 _CHUNK = 1 << 22
 
@@ -247,21 +245,6 @@ def _int64_safe_radius(a: int, b: int) -> int:
     while r ** 4 * coeff > bound:
         r -= 1
     return r
-
-
-def _shells(a: int, b: int, cap: int):
-    """Shell radii 1..cap; DomainError at the first one whose norm values
-    can overflow int64 for (a, b)."""
-    safe_r = _int64_safe_radius(a, b)
-    for r in range(1, cap + 1):
-        if r > safe_r:
-            if safe_r < 1:
-                raise DomainError(f"(a,b)=({a},{b}) is too large for the exact int64 "
-                                  f"search: no shell fits")
-            raise DomainError(
-                f"shell {r} exceeds the exact int64 range for (a,b)=({a},{b}); "
-                f"cap must be <= {safe_r}")
-        yield r
 
 
 def _face_boxes(r: int):
@@ -298,6 +281,40 @@ def _chunked(box):
             stack.append(tuple(right))
 
 
+def _scan(F: BiquadField, cap: int, hit):
+    """For r = 1..cap, yield (r, points): the (n0, n1, n2, n3, N) on the
+    n0, n1, n2 >= 0 part of integer shell r whose int64 norms N the
+    predicate `hit` marks, given the norms of a block as an array.  With hit
+    None nothing is evaluated.  DomainError at the first shell whose norm
+    values can overflow int64 for (a, b)."""
+    a, b = F.a, F.b
+    ab = a * b
+    safe_r = _int64_safe_radius(a, b)
+    for r in range(1, cap + 1):
+        if r > safe_r:
+            if safe_r < 1:
+                raise DomainError(f"(a,b)=({a},{b}) is too large for the exact int64 "
+                                  f"search: no shell fits")
+            raise DomainError(
+                f"shell {r} exceeds the exact int64 range for (a,b)=({a},{b}); "
+                f"cap must be <= {safe_r}")
+        points = []
+        for box in _face_boxes(r) if hit else ():
+            for v0, v1, v2, v3 in _chunked(box):
+                n0 = v0[:, None, None, None]
+                n1 = v1[None, :, None, None]
+                n2 = v2[None, None, :, None]
+                n3 = v3[None, None, None, :]
+                A = n0 * n0 + a * n1 * n1 - b * n2 * n2 - ab * n3 * n3
+                B = 2 * n0 * n1 - 2 * b * n2 * n3
+                N = A * A - a * B * B
+                marked = hit(N)
+                if marked.any():
+                    points += [(int(v0[i]), int(v1[j]), int(v2[k]), int(v3[l]),
+                                int(N[i, j, k, l])) for i, j, k, l in zip(*np.nonzero(marked))]
+        yield r, points
+
+
 def _sign_orbit(n0: int, n1: int, n2: int, n3: int):
     out = set()
     for eps in (1, -1):
@@ -307,6 +324,25 @@ def _sign_orbit(n0: int, n1: int, n2: int, n3: int):
     return out
 
 
+def _least(F: BiquadField, hits) -> tuple[str | None, NormCertificate] | None:
+    """(label, certificate) for the least (q, -m0, -m1, -m2, -m3) over the
+    sign orbits of the hits (q, (n0, n1, n2, n3), label) with
+    gcd(m0, m1, m2, m3, q) = 1, or None when there is none."""
+    best = None
+    for q, n, label in hits:
+        for m in _sign_orbit(*n):
+            if math.gcd(*m, q) != 1:
+                continue
+            key = (q, *(-x for x in m))
+            if best is None or key < best[0]:
+                best = (key, q, m, label)
+    if best is None:
+        return None
+    _, q, m, label = best
+    coords = tuple(Fraction(x, q) for x in m)
+    return label, NormCertificate(F, coords, norm_form_eval(F, coords))
+
+
 def _shell_search(F: BiquadField, targets: dict[str, Fraction], cap: int
                   ) -> tuple[str, NormCertificate] | None:
     """Scan shells 1..cap for the first coords whose norm equals one of the
@@ -314,8 +350,6 @@ def _shell_search(F: BiquadField, targets: dict[str, Fraction], cap: int
     the deterministic order, or None."""
     if cap < 1:
         raise DomainError("cap must be >= 1")
-    a, b = F.a, F.b
-    ab = a * b
     value_map: dict[int, tuple[str, int]] = {}
     for label, tval in targets.items():
         for q in range(1, cap + 1):
@@ -324,45 +358,20 @@ def _shell_search(F: BiquadField, targets: dict[str, Fraction], cap: int
                 value_map.setdefault(int(v), (label, q))
     i64max = (1 << 63) - 1
     tvals = np.array(sorted(v for v in value_map if abs(v) <= i64max), dtype=np.int64)
+    hit = (lambda N: np.isin(N, tvals)) if tvals.size else None
+    # a point of integer shell r with denominator q lies on shell max(r, q)
     pending: dict[int, list] = {}
-    for r in _shells(a, b, cap):
-        if tvals.size:
-            for box in _face_boxes(r):
-                for v0, v1, v2, v3 in _chunked(box):
-                    n0 = v0[:, None, None, None]
-                    n1 = v1[None, :, None, None]
-                    n2 = v2[None, None, :, None]
-                    n3 = v3[None, None, None, :]
-                    A = n0 * n0 + a * n1 * n1 - b * n2 * n2 - ab * n3 * n3
-                    B = 2 * n0 * n1 - 2 * b * n2 * n3
-                    N = A * A - a * B * B
-                    hit = np.isin(N, tvals)
-                    if not hit.any():
-                        continue
-                    for i, j, k, l in zip(*np.nonzero(hit)):
-                        val = int(N[i, j, k, l])
-                        label, q = value_map[val]
-                        shell = max(r, q)
-                        if shell > cap:
-                            continue
-                        orbit = _sign_orbit(int(v0[i]), int(v1[j]), int(v2[k]), int(v3[l]))
-                        pending.setdefault(shell, []).extend(
-                            (q, m0, m1, m2, m3, label) for m0, m1, m2, m3 in orbit)
-        hits = pending.pop(r, [])
-        best = None
-        for q, m0, m1, m2, m3, label in hits:
-            if math.gcd(abs(m0), abs(m1), abs(m2), abs(m3), q) != 1:
-                continue
-            key = (q, -m0, -m1, -m2, -m3)
-            if best is None or key < best[0]:
-                best = (key, q, (m0, m1, m2, m3), label)
-        if best is not None:
-            _, q, (m0, m1, m2, m3), label = best
-            coords = tuple(Fraction(m, q) for m in (m0, m1, m2, m3))
-            value = norm_form_eval(F, coords)
-            if value != targets[label]:
+    for r, points in _scan(F, cap, hit):
+        for *n, val in points:
+            label, q = value_map[val]
+            shell = max(r, q)
+            if shell <= cap:
+                pending.setdefault(shell, []).append((q, n, label))
+        found = _least(F, pending.pop(r, []))
+        if found is not None:
+            if found[1].value != targets[found[0]]:
                 raise InternalConsistencyError("shell search returned a wrong norm")
-            return label, NormCertificate(F, coords, value)
+            return found
     return None
 
 
@@ -385,34 +394,10 @@ def negative_norm_witness(F: BiquadField, cap: int) -> NormCertificate | None:
 
     The sign of the norm ignores the denominator, so only q = 1 is scanned;
     a q > 1 witness would be preceded by its integral version anyway."""
-    a, b = F.a, F.b
-    ab = a * b
-    for r in _shells(a, b, cap):
-        best = None
-        for box in _face_boxes(r):
-            for v0, v1, v2, v3 in _chunked(box):
-                n0 = v0[:, None, None, None]
-                n1 = v1[None, :, None, None]
-                n2 = v2[None, None, :, None]
-                n3 = v3[None, None, None, :]
-                A = n0 * n0 + a * n1 * n1 - b * n2 * n2 - ab * n3 * n3
-                B = 2 * n0 * n1 - 2 * b * n2 * n3
-                N = A * A - a * B * B
-                hit = N < 0
-                if not hit.any():
-                    continue
-                for i, j, k, l in zip(*np.nonzero(hit)):
-                    for m0, m1, m2, m3 in _sign_orbit(
-                            int(v0[i]), int(v1[j]), int(v2[k]), int(v3[l])):
-                        if math.gcd(abs(m0), abs(m1), abs(m2), abs(m3)) != 1:
-                            continue
-                        key = (-m0, -m1, -m2, -m3)
-                        if best is None or key < best[0]:
-                            best = (key, (m0, m1, m2, m3))
-        if best is not None:
-            _, (m0, m1, m2, m3) = best
-            coords = tuple(Fraction(m) for m in (m0, m1, m2, m3))
-            return NormCertificate(F, coords, norm_form_eval(F, coords))
+    for _, points in _scan(F, cap, lambda N: N < 0):
+        found = _least(F, [(1, n, None) for *n, _ in points])
+        if found is not None:
+            return found[1]
     return None
 
 
@@ -420,9 +405,13 @@ def negative_norm_witness(F: BiquadField, cap: int) -> NormCertificate | None:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for decide_global: escalating shell caps, whether the knot
-    group of this field is known to be generated by the class of -1, and
-    whether a trivial-knot Norm answer should still search for a witness."""
+    """Knobs for decide_global: shell caps, whether the knot group of this
+    field is known to be generated by the class of -1, and whether a
+    trivial-knot Norm answer should still search for a witness.
+
+    Only caps[-1] is read.  Shells run in increasing order and a hit at
+    shell s <= c does not depend on the cap c, so one search to caps[-1]
+    returns what escalating through the caps would."""
 
     caps: tuple[int, ...] = (100, 1000, 10000)
     minus_one_generates: bool = False

@@ -35,7 +35,6 @@ class CliConfig:
     levels: int | None = None
     minus_one_generates: bool = False
     output: str = "text"
-    workers: int = 1
 
     def as_dict(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if v is not None}
@@ -120,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_field(p)
     p.add_argument("--t", type=_fraction, required=True)
     p.add_argument("--caps", type=_caps, default=(100, 1000, 10000),
-                   help="escalating certificate-search caps, e.g. 100,1000")
+                   help="certificate-search caps, e.g. 100,1000; one search runs to the last")
     p.add_argument("--cap", type=int, default=None, help="single search cap (overrides --caps)")
     p.add_argument("--minus-one-generates", action="store_true",
                    help="assert the knot group is generated by the class of -1")
@@ -147,7 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=None)
     p.add_argument("--minus-one-generates", action="store_true")
     p.add_argument("--search-cap", type=int, default=100)
-    p.add_argument("--workers", type=int, default=1)
     add_format(p, choices=("text", "json", "csv"))
 
     p = sub.add_parser("count-integers", help="everywhere-local integer counts")
@@ -172,7 +170,7 @@ def _cmd_knot(args) -> int:
     F = biquad.BiquadField(args.a, args.b)
     g = biquad.knot_order(F)
     lines = [f"knot group: Z/{g}Z"]
-    for v, lt in biquad.local_survey(F):
+    for v, lt in F.survey:
         desc = lt.kind if lt.d is None else f"{lt.kind}({lt.d})"
         lines.append(f"  v={v}: {desc}, g_v={lt.g_v}")
     _emit({"g": g}, "\n".join(lines), args.format)
@@ -254,10 +252,9 @@ def _cmd_count(args) -> int:
     F = biquad.BiquadField(args.a, args.b)
     series = count.count_series(F, args.bound, args.levels,
                                 minus_one_generates=args.minus_one_generates,
-                                search_cap=args.search_cap, workers=args.workers)
+                                search_cap=args.search_cap)
     cfg = CliConfig(a=args.a, b=args.b, bound=args.bound, levels=args.levels,
-                    minus_one_generates=args.minus_one_generates,
-                    output=args.format, workers=args.workers)
+                    minus_one_generates=args.minus_one_generates, output=args.format)
     if args.format == "json":
         print(json.dumps(count.series_to_json(series, cfg.as_dict()), sort_keys=True))
     elif args.format == "csv":

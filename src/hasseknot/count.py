@@ -117,7 +117,7 @@ def local_tables(F: biquad.BiquadField, B: int) -> LocalTables:
     if B < 1:
         raise DomainError("B must be >= 1")
     bit_places: list[tuple[Place, int]] = []
-    for v, lt in biquad.local_survey(F):
+    for v, lt in F.survey:
         if lt.kind == biquad.QUADRATIC:
             bit_places.append((v, lt.d))
         elif lt.kind == biquad.BIQUADRATIC:
@@ -216,10 +216,12 @@ def count_series(F: biquad.BiquadField, B: int, levels: int | None = None, *,
     with the unresolved count reported.  The search mode runs one search per
     everywhere-local element and is only practical at small bounds.
 
-    `workers` is accepted for compatibility and has no effect: the count
-    runs in one process.
+    `workers` has no effect: the count runs in one process.  It stays only
+    because the benchmark under bench/ passes workers=1.
     """
-    grid, n_loc = n_loc_series(F, B, levels)
+    grid = doubling_grid(B, levels)
+    tables = local_tables(F, B)
+    n_loc = _n_loc_series(grid, tables)
     g = biquad.knot_order(F)
     if g == 1:
         mode = GlobMode(TRIVIAL_KNOT)
@@ -233,7 +235,6 @@ def count_series(F: biquad.BiquadField, B: int, levels: int | None = None, *,
             raise DomainError("n_loc is odd; the t <-> -t involution is broken")
         n_glob = [nl // 2 for nl in n_loc]
     else:
-        tables = local_tables(F, B)
         resolved = np.zeros(len(grid), dtype=np.int64)
         unknowns = 0
         for t in enumerate_heights(B):

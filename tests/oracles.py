@@ -114,6 +114,20 @@ def naive_local_count(field, B: int, grid: list[int]) -> dict[int, int]:
     return totals
 
 
+def min_cyclic_index_bruteforce(m: int, n: int) -> int:
+    """Least index m*n / ord(g) over the elements g of Z/m x Z/n, each order
+    found by adding g to itself until it returns to 0."""
+    best = m * n
+    for i in range(m):
+        for j in range(n):
+            x, order = (i, j), 1
+            while x != (0, 0):
+                x = ((x[0] + i) % m, (x[1] + j) % n)
+                order += 1
+            best = min(best, m * n // order)
+    return best
+
+
 def cubic_delta_prediction() -> Fraction:
     """Density of primes with a degree-1 factor for a cubic with group S3:
     the identity and the three transpositions fix a root, 4 of 6 classes."""

@@ -1,11 +1,14 @@
 import math
 import random
+import time
 
 import pytest
 
 from hasseknot import bicyclic, biquad
 from hasseknot.bicyclic import BicyclicGroup, DecompositionSpec
 from hasseknot.errors import DegenerateFieldError, DomainError
+
+from oracles import min_cyclic_index_bruteforce
 
 
 def test_klein_four_fixtures():
@@ -32,7 +35,15 @@ def test_gcd_bound_without_extra():
     for m in range(1, 9):
         for n in range(1, 9):
             g = bicyclic.knot_bicyclic(BicyclicGroup(m, n))
-            assert g == math.gcd(m, n)
+            assert g == math.gcd(m, n) == min_cyclic_index_bruteforce(m, n), (m, n)
+
+
+def test_large_group_without_enumeration():
+    t0 = time.perf_counter()
+    g, witnesses = bicyclic.knot_bicyclic_report(BicyclicGroup(10 ** 6, 10 ** 6))
+    assert g == 10 ** 6
+    assert witnesses == [(10 ** 6, "maximal cyclic subgroup (unramified place)")]
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_cyclic_extensions_satisfy_hasse():
@@ -86,7 +97,7 @@ def test_consistency_with_biquad_fields():
         # non-cyclic decomposition groups = the full Klein group at the
         # places with a biquadratic completion
         gens = []
-        for _, lt in biquad.local_survey(F):
+        for _, lt in F.survey:
             if lt.kind == biquad.BIQUADRATIC:
                 gens.append(((1, 0), (0, 1)))
         spec = DecompositionSpec(subgroups=tuple(gens))

@@ -188,12 +188,20 @@ def test_certificate_not_found_returns_none():
     # 25 is locally-everywhere a norm but not a global one; the search
     # cannot succeed at any cap
     assert biquad.certificate_search(F1317, 25, 25) is None
+    # no q <= 60 makes q^4/61 integral, so nothing can match
+    assert biquad._shell_search(F1317, {"t": Fraction(1, 61), "-t": Fraction(-1, 61)}, 60) is None
 
 
 def test_negative_norm_witness():
     cert = biquad.negative_norm_witness(F1317, 1000)
     assert cert is not None and cert.value < 0
     assert biquad.norm_form_eval(F1317, cert.coords) == cert.value
+    # the first negative norm in search order
+    for (a, b), coords, value in (((13, 17), (1, 1, 1, 0), -43), ((3, 5), (1, 1, 1, 0), -11),
+                                  ((2, 7), (1, 1, 1, -1), -188)):
+        cert = biquad.negative_norm_witness(BiquadField(a, b), 30)
+        assert (cert.coords, cert.value) == (coords, value), (a, b)
+    assert biquad.negative_norm_witness(BiquadField(-1, 5), 30) is None  # totally imaginary
 
 
 def test_decide_global_not_norm_25():

@@ -1,5 +1,7 @@
 import json
 
+from hypothesis import given, settings, strategies as st
+
 from hasseknot import cli
 
 
@@ -183,3 +185,50 @@ def test_config_error_exit(capsys):
                          "--minus-one-generates")
     assert status == 1
     assert "-1" in err
+
+
+# --- fuzzing: every run ends in an exit code, never in a traceback ----------
+
+_fmt = st.sampled_from([[], ["--format", "json"], ["--format", "text"]])
+
+
+def _int(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _rational(bound):
+    # zero numerators and denominators included: both must be refused cleanly
+    return st.builds(lambda p, q: f"{p}/{q}", st.integers(-bound, bound), st.integers(-3, bound))
+
+
+def _field(bound):
+    return st.tuples(_int(-bound, bound), _int(-bound, bound)).map(
+        lambda ab: ["--a", ab[0], "--b", ab[1]])
+
+
+_knot = st.tuples(st.just(["knot"]), _field(10 ** 6), _fmt)
+_local = st.tuples(st.just(["local"]), _field(10 ** 6),
+                   _rational(10 ** 6).map(lambda t: [f"--t={t}"]), _fmt)
+_global = st.tuples(
+    st.just(["global"]), _field(300), _rational(300).map(lambda t: [f"--t={t}"]),
+    _int(-1, 6).map(lambda c: ["--cap", c]),
+    st.sampled_from([[], ["--minus-one-generates"], ["--no-witness-search"]]), _fmt)
+_bicyclic = st.tuples(st.just(["knot-bicyclic"]), _int(-1, 10 ** 6).map(lambda m: ["--m", m]),
+                      _int(-1, 10 ** 6).map(lambda n: ["--n", n]), _fmt)
+# Loose tokens stay away from the subcommands whose defaults run long
+# (count, fit, delta, global without --cap, selftest, ...).
+_VOCAB = ["knot", "knot-bicyclic", "local", "--a", "--b", "--t", "--m", "--n", "--extra",
+          "--format", "json", "csv", "0", "1", "-1", "2", "13", "17", "25", "1/0", "1:0",
+          "0:1", "1:", "x", "-h", "--help"]
+_HEAVY = {"global", "ideal-norm", "delta", "count", "count-integers", "fit", "selftest"}
+_tokens = st.lists(st.one_of(st.sampled_from(_VOCAB),
+                             st.text(max_size=6).filter(lambda tok: tok not in _HEAVY)),
+                   max_size=8)
+_argv = st.one_of(st.one_of(_knot, _local, _global, _bicyclic).map(lambda parts: sum(parts, [])),
+                  _tokens)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(_argv)
+def test_fuzz_exit_codes(argv):
+    assert cli.dispatch(argv) in (0, 1, 2, 3), argv

@@ -56,11 +56,12 @@ def test_count_series_sieves_primes_once(monkeypatch):
     calls = []
     sieve = arith.sieve_primes
     monkeypatch.setattr(arith, "sieve_primes", lambda n: calls.append(n) or sieve(n))
-    for F, half_rule in ((F1317, True), (F35, False)):
+    # half rule, trivial knot, and the search mode at cap 1
+    for F, half_rule in ((F1317, True), (F35, False), (F1317, False)):
         for B in (1, 300):
             calls.clear()
-            count.count_series(F, B, minus_one_generates=half_rule)
-            assert calls == [B], (F, B)
+            count.count_series(F, B, minus_one_generates=half_rule, search_cap=1)
+            assert calls == [B], (F, B, half_rule)
 
 
 def test_count_series_matches_naive_recount():
