@@ -235,12 +235,6 @@ class Factorization:
             v *= Fraction(p) ** e
         return v
 
-    def ord_at(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     @property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)

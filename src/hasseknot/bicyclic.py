@@ -9,6 +9,7 @@ ramified places, need to be supplied separately.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,9 +38,6 @@ class BicyclicGroup:
         except (TypeError, ValueError):
             raise DomainError(f"not a residue pair: {g!r}") from None
 
-    def add(self, g, h) -> tuple[int, int]:
-        return ((g[0] + h[0]) % self.m, (g[1] + h[1]) % self.n)
-
 
 @dataclass(frozen=True)
 class DecompositionSpec:
@@ -50,20 +48,15 @@ class DecompositionSpec:
     label: str = ""
 
 
-def subgroup_closure(G: BicyclicGroup, generators) -> frozenset:
-    """The subgroup generated by the given residue pairs (brute-force
-    closure; group orders here are tiny)."""
-    gens = [G.reduce(g) for g in generators]
-    elems = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = G.add(x, g)
-            if y not in elems:
-                elems.add(y)
-                frontier.append(y)
-    return frozenset(elems)
+def subgroup_index(G: BicyclicGroup, generators) -> int:
+    """[G : H] for the subgroup H generated by the given residue pairs.
+
+    H is the image of the lattice L in Z^2 spanned by the generators, (m, 0)
+    and (0, n), so [G : H] = [Z^2 : L], the gcd of the 2x2 minors of those
+    rows (the product of the Smith invariants of L)."""
+    rows = [G.reduce(g) for g in generators] + [(G.m, 0), (0, G.n)]
+    return math.gcd(*(x0 * y1 - x1 * y0
+                      for (x0, x1), (y0, y1) in itertools.combinations(rows, 2)))
 
 
 def knot_bicyclic(G: BicyclicGroup, extra: DecompositionSpec | None = None) -> int:
@@ -82,8 +75,7 @@ def knot_bicyclic_report(G: BicyclicGroup, extra: DecompositionSpec | None = Non
     witnesses = [(g, "maximal cyclic subgroup (unramified place)")]
     if extra is not None:
         for k, gens in enumerate(extra.subgroups):
-            H = subgroup_closure(G, gens)
-            idx = G.order // len(H)
+            idx = subgroup_index(G, gens)
             newg = math.gcd(g, idx)
             if newg != g:
                 g = newg

@@ -13,7 +13,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith, bicyclic, biquad, count, numfield
@@ -23,21 +22,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Echo of the parsed options relevant to a counting run."""
-
-    a: int | None = None
-    b: int | None = None
-    bound: int | None = None
-    levels: int | None = None
-    minus_one_generates: bool = False
-    output: str = "text"
-
-    def as_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
 def _fraction(text: str) -> Fraction:
@@ -253,10 +237,12 @@ def _cmd_count(args) -> int:
     series = count.count_series(F, args.bound, args.levels,
                                 minus_one_generates=args.minus_one_generates,
                                 search_cap=args.search_cap)
-    cfg = CliConfig(a=args.a, b=args.b, bound=args.bound, levels=args.levels,
-                    minus_one_generates=args.minus_one_generates, output=args.format)
+    config = {"a": args.a, "b": args.b, "bound": args.bound,
+              "minus_one_generates": args.minus_one_generates, "output": args.format}
+    if args.levels is not None:
+        config["levels"] = args.levels
     if args.format == "json":
-        print(json.dumps(count.series_to_json(series, cfg.as_dict()), sort_keys=True))
+        print(json.dumps(count.series_to_json(series, config), sort_keys=True))
     elif args.format == "csv":
         sys.stdout.write(count.series_to_csv(series))
     else:
@@ -367,11 +353,24 @@ _COMMANDS = {
 }
 
 
+def _join_negative_t(argv: list[str]) -> list[str]:
+    """argparse reads a token such as -5/3 as an option, so '--t -5/3' is
+    handed to it as '--t=-5/3'; no option of this parser starts with '-' and
+    a digit."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--t" and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"--t={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def dispatch(argv: list[str]) -> int:
     """Parse argv and run the matching subcommand; returns the exit status."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_t(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -6,9 +6,10 @@ sieving over the primes up to B: the Hilbert-symbol bits of each prime at the
 fixed places (infinity, 2, p | ab) are XORed into a bitmask profile of its
 multiples wherever its exponent is odd, and the other primes only need the
 parity of their exponent.  N_loc counts the coprime pairs with matching
-profiles by Moebius inversion over the common divisor; the profile-class
-histograms of the multiples of the squarefree divisors are built by one
-bincount per chunk of consecutive divisors.  The global count
+profiles by Moebius inversion over the common divisor.  A squarefree d
+with bad part e(d) has the class histogram of the local integers up to
+B // (d * e(d)), shifted by a profile that the pair count ignores, so N_loc
+only needs that histogram at the O(sqrt B) floor values.  The global count
 comes from the exact half rule when the knot group is Z/2 generated by -1,
 from equality when the knot group is trivial, and from a certificate-search
 lower bound otherwise.
@@ -31,11 +32,6 @@ from .numfield import doubling_grid
 HALF_RULE = "half_rule"
 TRIVIAL_KNOT = "trivial_knot"
 SEARCH_LOWER_BOUND = "search_lower_bound"
-
-# multiples k*d per chunk of squarefree divisors in _n_loc_series, and the
-# cap on that chunk's histogram cells
-_PAIRS = 1 << 12
-
 
 def enumerate_heights(B: int):
     """Every nonzero rational of height <= B exactly once, both signs,
@@ -152,16 +148,22 @@ def local_tables(F: biquad.BiquadField, B: int) -> LocalTables:
 
 
 def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
-    """n_loc(B_i) = sum over squarefree d <= B_i of mu(d) * sum_c H_d[c] *
-    (H_d[c] + H_d[c ^ p_minus]), where H_d is the histogram of profile
-    classes over the passing multiples of d up to B_i: Moebius inversion of
-    the count of pairs (a, b) with a ~ b (sign +) or a ~ -b (sign -).
+    """n_loc(B_i) = sum over squarefree d <= B_i of mu(d) * Q(H_d), with
+    Q(h) = sum_c h[c] * (h[c] + h[c ^ p_minus]) and H_d the histogram of
+    profile classes over the passing multiples of d up to B_i: Moebius
+    inversion of the count of pairs (a, b) with a ~ b (sign +) or a ~ -b
+    (sign -).
 
-    The squarefree d <= B_i are taken in increasing order and split into
-    chunks of consecutive divisors with at most _PAIRS multiples k*d and at
-    most _PAIRS histogram cells between them, or a single d that alone has
-    more.  One bincount over row * (C + 1) + class builds the histograms of
-    a whole chunk as the rows of an array, C being the fail class."""
+    Let e(d) be the product of the primes p | d with ok[p] False: exactly
+    the bad primes, which lie outside the fixed places, do not split in all
+    three subfields, and must divide a passing n to even order.  So a
+    multiple m * d passes exactly when e(d) | m and m / e(d) passes, and its
+    profile is that of m / e(d) XOR that of d * e(d).  H_d is thus
+    G(B_i // (d * e(d))) with its classes shifted by one profile, where G(v)
+    is the class histogram of the passing n <= v, and Q does not change
+    under the shift.  Hence n_loc(B_i) = sum_v M(v) * Q(G(v)), where M(v) is
+    the sum of mu(d) over the squarefree d with B_i // (d * e(d)) = v, and G
+    is needed only at the O(sqrt B_i) values v where M(v) != 0."""
     B = grid[-1]
     profiles, cid = np.unique(tables.profile[:B + 1], return_inverse=True)
     C = len(profiles)
@@ -169,31 +171,26 @@ def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
     mates = profiles ^ tables.p_minus
     j = np.minimum(np.searchsorted(profiles, mates), C - 1)
     partner = np.append(np.where(profiles[j] == mates, j, C), C)
+    # the n in 1..B of each class, in increasing order; the last part fails
+    local = np.split(np.argsort(cid[1:], kind="stable") + 1,
+                     np.cumsum(np.bincount(cid[1:], minlength=C + 1))[:-1])
     mu = np.ones(B + 1, dtype=np.int8)
+    de = np.arange(B + 1, dtype=np.int64)  # d * e(d) at the squarefree d
     for p in tables.primes:
         mu[p::p] *= -1
         mu[p * p::p * p] = 0
-    max_rows = max(1, _PAIRS // (C + 1))
+        if not tables.ok[p]:
+            de[p::p] *= p
     totals = []
     for Bi in grid:
         ds = np.flatnonzero(mu[1:Bi + 1]) + 1
-        sizes = Bi // ds  # multiples of each d up to B_i
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
-        total = 0
-        lo = 0
-        while lo < len(ds):
-            hi = int(np.searchsorted(ends, starts[lo] + _PAIRS, side="right"))
-            hi = min(max(hi, lo + 1), lo + max_rows)
-            # the pair at position i of the level is k * ds[row], k = i - starts[row] + 1
-            pos = np.arange(starts[lo], ends[hi - 1])
-            row = np.repeat(np.arange(lo, hi), sizes[lo:hi])
-            cells = (row - lo) * (C + 1) + cid[(pos - starts[row] + 1) * ds[row]]
-            h = np.bincount(cells, minlength=(hi - lo) * (C + 1)).reshape(hi - lo, C + 1)
-            h[:, C] = 0
-            total += int(np.einsum("r,rc,rc->", mu[ds[lo:hi]], h, h + h[:, partner]))
-            lo = hi
-        totals.append(total)
+        v, plus = Bi // de[ds], mu[ds] > 0  # v = 0 adds Q(G(0)) = 0
+        M = np.bincount(v[plus], minlength=Bi + 1) - np.bincount(v[~plus], minlength=Bi + 1)
+        vs = np.flatnonzero(M)
+        G = np.zeros((C + 1, len(vs)), dtype=np.int64)  # row C stays 0
+        for c in range(C):
+            G[c] = np.searchsorted(local[c], vs, side="right")
+        totals.append(int(M[vs] @ (G * (G + G[partner])).sum(axis=0)))
     return totals
 
 

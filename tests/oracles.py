@@ -128,6 +128,22 @@ def min_cyclic_index_bruteforce(m: int, n: int) -> int:
     return best
 
 
+def subgroup_index_bruteforce(m: int, n: int, generators) -> int:
+    """[Z/m x Z/n : H] for the subgroup H generated by the given pairs,
+    found by closing {(0, 0)} under adding the generators."""
+    gens = [(i % m, j % n) for i, j in generators]
+    elems = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = ((x[0] + g[0]) % m, (x[1] + g[1]) % n)
+            if y not in elems:
+                elems.add(y)
+                frontier.append(y)
+    return m * n // len(elems)
+
+
 def cubic_delta_prediction() -> Fraction:
     """Density of primes with a degree-1 factor for a cubic with group S3:
     the identity and the three transpositions fix a root, 4 of 6 classes."""

@@ -8,7 +8,7 @@ from hasseknot import bicyclic, biquad
 from hasseknot.bicyclic import BicyclicGroup, DecompositionSpec
 from hasseknot.errors import DegenerateFieldError, DomainError
 
-from oracles import min_cyclic_index_bruteforce
+from oracles import min_cyclic_index_bruteforce, subgroup_index_bruteforce
 
 
 def test_klein_four_fixtures():
@@ -67,11 +67,18 @@ def test_extra_is_monotone():
         assert base % more == 0
 
 
-def test_subgroup_closure():
-    G = BicyclicGroup(4, 6)
-    H = bicyclic.subgroup_closure(G, [(2, 0), (0, 3)])
-    assert len(H) == 4
-    assert (2, 3) in H
+def test_subgroup_index():
+    rng = random.Random(12)
+    cases = [(4, 6, [(2, 0), (0, 3)])]  # H = {(0,0), (2,0), (0,3), (2,3)}
+    for m in range(1, 13):
+        for n in range(1, 13):
+            for _ in range(3):
+                cases.append((m, n, [(rng.randrange(-m, 2 * m), rng.randrange(-n, 2 * n))
+                                     for _ in range(rng.randint(0, 3))]))
+    assert bicyclic.subgroup_index(BicyclicGroup(4, 6), [(2, 0), (0, 3)]) == 6
+    for m, n, gens in cases:
+        got = bicyclic.subgroup_index(BicyclicGroup(m, n), gens)
+        assert got == subgroup_index_bruteforce(m, n, gens), (m, n, gens)
 
 
 def test_malformed_generators():

@@ -1,4 +1,5 @@
 import json
+import time
 
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +32,28 @@ def test_knot_bicyclic(capsys):
     status, out, _ = run(capsys, "knot-bicyclic", "--m", "2", "--n", "2",
                          "--extra", "1:0,0:1", "--format", "json")
     assert json.loads(out)["g"] == 1
+
+
+def test_knot_bicyclic_large_with_extra(capsys):
+    t0 = time.perf_counter()
+    status, out, _ = run(capsys, "knot-bicyclic", "--m", "1000000", "--n", "1000000",
+                         "--extra", "1:0,0:1")
+    assert time.perf_counter() - t0 < 1.0
+    assert status == 0
+    assert out.splitlines()[0] == "knot group: Z/1Z"
+
+
+def test_negative_rational_as_separate_token(capsys):
+    field = ("--a", "13", "--b", "17")
+    for fmt in ("text", "json"):
+        joined = run(capsys, "local", *field, "--t=-5/3", "--format", fmt)
+        assert joined[0] == 0
+        assert run(capsys, "local", *field, "--t", "-5/3", "--format", fmt) == joined
+    status, out, err = run(capsys, "ideal-norm", "--poly", "1,0,1", "--t", "-5/3")
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert run(capsys, "local", *field, "--t", "--format", "json")[0] == 2
 
 
 def test_local_json_schema(capsys):
@@ -208,13 +231,18 @@ def _field(bound):
 
 _knot = st.tuples(st.just(["knot"]), _field(10 ** 6), _fmt)
 _local = st.tuples(st.just(["local"]), _field(10 ** 6),
-                   _rational(10 ** 6).map(lambda t: [f"--t={t}"]), _fmt)
+                   _rational(10 ** 6).map(lambda t: ["--t", t]), _fmt)
 _global = st.tuples(
     st.just(["global"]), _field(300), _rational(300).map(lambda t: [f"--t={t}"]),
     _int(-1, 6).map(lambda c: ["--cap", c]),
     st.sampled_from([[], ["--minus-one-generates"], ["--no-witness-search"]]), _fmt)
+# a leading '-' would make argparse read the generator list as an option
+_gen = st.tuples(st.integers(0, 10 ** 6), st.integers(-10 ** 6, 10 ** 6)).map(
+    lambda g: f"{g[0]}:{g[1]}")
+_extra = st.lists(st.lists(_gen, min_size=1, max_size=3).map(lambda gs: ["--extra", ",".join(gs)]),
+                  max_size=2).map(lambda parts: sum(parts, []))
 _bicyclic = st.tuples(st.just(["knot-bicyclic"]), _int(-1, 10 ** 6).map(lambda m: ["--m", m]),
-                      _int(-1, 10 ** 6).map(lambda n: ["--n", n]), _fmt)
+                      _int(-1, 10 ** 6).map(lambda n: ["--n", n]), _extra, _fmt)
 # Loose tokens stay away from the subcommands whose defaults run long
 # (count, fit, delta, global without --cap, selftest, ...).
 _VOCAB = ["knot", "knot-bicyclic", "local", "--a", "--b", "--t", "--m", "--n", "--extra",

@@ -65,7 +65,10 @@ def test_count_series_sieves_primes_once(monkeypatch):
 
 
 def test_count_series_matches_naive_recount():
-    for F, B in [(F1317, 100)] + P_MINUS_FIELDS:
+    more = [BiquadField(a, b) for a, b in ((6, 10), (5, -7), (30, -35), (-1, -2))]
+    # B = 2 puts the grid edges 1 and 2 at the top of a series
+    cases = [(F1317, 100)] + P_MINUS_FIELDS + [(F, 60) for F in more]
+    for F, B in cases + [(F, 2) for F, _ in cases]:
         # n_loc does not depend on the global mode; cap 1 keeps the search mode cheap
         series = count.count_series(F, B, minus_one_generates=F == F1317, search_cap=1)
         naive = naive_local_count(F, B, list(series.grid))
@@ -79,17 +82,6 @@ def test_n_loc_pins():
                         (BiquadField(-3, 13), 1 << 15, 5661077),
                         (F1317, 1 << 17, 96812070)):
         assert count.n_loc_series(F, B, levels=1) == ([B], [n_loc]), (F, B)
-
-
-def test_n_loc_chunk_boundaries(monkeypatch):
-    cases = [(F, B) for F in [F1317] + [F for F, _ in P_MINUS_FIELDS] for B in (1, 2, 3, 2048)]
-    expected = [count.n_loc_series(F, B) for F, B in cases]
-    # These fields have 8 or 64 profile classes, so 7 makes a chunk of every
-    # d, 64 makes chunks of up to 7 divisors, and 2^20 takes each level whole.
-    for pairs in (7, 64, 1 << 20):
-        monkeypatch.setattr(count, "_PAIRS", pairs)
-        for (F, B), want in zip(cases, expected):
-            assert count.n_loc_series(F, B) == want, (pairs, F, B)
 
 
 def test_count_series_half_rule_invariants():
