@@ -9,6 +9,7 @@ of its square class, so the symbols run on Python ints only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +45,7 @@ def sieve_primes(limit: int) -> list[int]:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p:: p] = b"\x00" * len(range(p * p, limit + 1, p))
-    return [i for i in range(2, limit + 1) if flags[i]]
+    return list(itertools.compress(range(limit + 1), flags))
 
 
 def is_prime(n: int) -> bool:

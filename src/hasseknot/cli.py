@@ -353,14 +353,17 @@ _COMMANDS = {
 }
 
 
-def _join_negative_t(argv: list[str]) -> list[str]:
-    """argparse reads a token such as -5/3 as an option, so '--t -5/3' is
-    handed to it as '--t=-5/3'; no option of this parser starts with '-' and
-    a digit."""
+_NEGATIVE_VALUED = ("--t", "--poly", "--extra")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argparse reads a token such as -5/3, -2,0,1 or -1:0 as an option, so
+    '<opt> -5/3' is handed to it as '<opt>=-5/3' for each option in
+    _NEGATIVE_VALUED; no option of this parser starts with '-' and a digit."""
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] == "--t" and tok[:1] == "-" and tok[1:2].isdigit():
-            out[-1] = f"--t={tok}"
+        if out and out[-1] in _NEGATIVE_VALUED and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out
@@ -370,12 +373,12 @@ def dispatch(argv: list[str]) -> int:
     """Parse argv and run the matching subcommand; returns the exit status."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(_join_negative_t(argv))
+        args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (DomainError, ConfigError, OSError) as exc:
+    except (DomainError, ConfigError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

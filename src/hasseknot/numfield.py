@@ -2,8 +2,9 @@
 
 Prime splitting through the degree pattern of the defining polynomial
 over GF(p) (Dedekind's criterion), the ideal-norm membership test via
-residue-degree gcds, and an empirical prime census for the density of
-primes whose residue degrees are coprime.
+residue-degree gcds, ideal-norm counts on a doubling grid by a sieve over
+the prime powers up to the bound, and an empirical prime census for the
+density of primes whose residue degrees are coprime.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import arith, gfpoly
 from .errors import DomainError, UnsupportedPrimeError
@@ -25,14 +28,6 @@ def _poly_eval(coeffs, x: int) -> int:
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def _poly_mul_int(f, g):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        for j, gj in enumerate(g):
-            out[i + j] += fi * gj
-    return out
 
 
 def _sylvester_resultant(f: list[int], g: list[int]) -> int:
@@ -102,9 +97,10 @@ def _factor_degree_candidates(f: list[int]) -> set[int] | None:
         fb = gfpoly.normalize(f, p)
         if gfpoly.degree(fb) != n:
             continue
-        if gfpoly.degree(gfpoly.gcd_poly(fb, gfpoly.derivative(fb, p), p)) > 0:
+        pattern = gfpoly.degree_pattern(fb, p)
+        if any(mult > 1 for mult, _ in pattern):
             continue  # not squarefree mod p: pattern unusable
-        degs = [d for _, d in gfpoly.degree_pattern(fb, p)]
+        degs = [d for _, d in pattern]
         if degs == [n]:
             return None
         sums = {0}
@@ -351,35 +347,31 @@ def doubling_grid(B: int, levels: int | None) -> list[int]:
 
 def count_ideal_norms(K: NumberField, B: int, levels: int | None = None
                       ) -> list[tuple[int, int]]:
-    """Exact counts #{n <= B_i : n in N(I_K)} on the doubling grid B_i = B/2^k."""
+    """Exact counts #{n <= B_i : n in N(I_K)} on the doubling grid B_i = B/2^k.
+
+    A prime sieve: for each prime p <= B with residue gcd g > 1, add 1 at the
+    multiples of p^k for k = 1 mod g and subtract 1 for k = 0 mod g.  Of the
+    k <= v_p(n) the first kind outnumbers the second by one exactly when
+    g does not divide v_p(n), so off[n] counts the primes that keep n from
+    being an ideal norm.  Raises UnsupportedPrimeError at the smallest prime
+    <= B whose splitting data is not certified.
+    """
     grid = doubling_grid(B, levels)
-    gcd_cache: dict[int, int] = {}
-
-    def g_of(p: int) -> int:
-        g = gcd_cache.get(p)
-        if g is None:
-            sd = splitting_data(K, p)
-            if not sd.reliable:
-                raise UnsupportedPrimeError(p)
-            g = sd.residue_gcd()
-            gcd_cache[p] = g
-        return g
-
-    table = arith.spf_table(B) if B >= 2 else None
-    counts = []
-    passing = 0
-    gi = 0
-    for n in range(1, B + 1):
-        ok = True
-        if n > 1:
-            for p, e in arith.table_factorize(n, table).factors:
-                if e % g_of(p) != 0:
-                    ok = False
-                    break
-        if ok:
-            passing += 1
-        while gi < len(grid) and grid[gi] == n:
-            counts.append((n, passing))
-            gi += 1
-    # grid points beyond the loop (only possible when B < smallest grid entry)
-    return counts
+    off = np.zeros(B + 1, dtype=np.int8)
+    for p in arith.sieve_primes(B):
+        sd = splitting_data(K, p)
+        if not sd.reliable:
+            raise UnsupportedPrimeError(p)
+        g = sd.residue_gcd()
+        if g == 1:
+            continue
+        q, k = p, 1
+        while q <= B:
+            if k % g == 1:
+                off[q::q] += 1
+            elif k % g == 0:
+                off[q::q] -= 1
+            q *= p
+            k += 1
+    cum = np.cumsum(off[1:] == 0)
+    return [(Bi, int(cum[Bi - 1])) for Bi in grid]

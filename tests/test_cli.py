@@ -56,6 +56,31 @@ def test_negative_rational_as_separate_token(capsys):
     assert run(capsys, "local", *field, "--t", "--format", "json")[0] == 2
 
 
+def test_negative_poly_and_extra_as_separate_token(capsys):
+    for cmd, opt, value, rest in (("ideal-norm", "--poly", "-2,0,1", ("--t", "7")),
+                                  ("knot-bicyclic", "--extra", "-1:0",
+                                   ("--m", "2", "--n", "2"))):
+        for fmt in ("text", "json"):
+            joined = run(capsys, cmd, f"{opt}={value}", *rest, "--format", fmt)
+            assert joined[0] == 0
+            assert run(capsys, cmd, opt, value, *rest, "--format", fmt) == joined
+    assert run(capsys, "ideal-norm", "--poly", "--t", "7")[0] == 2
+
+
+def test_out_of_memory_is_domain_error(capsys, monkeypatch):
+    from hasseknot import count as count_mod
+
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(count_mod, "local_tables", no_memory)
+    status, out, err = run(capsys, "count-integers", "--a", "13", "--b", "17",
+                           "--bound", "1000000000000")
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+
+
 def test_local_json_schema(capsys):
     status, out, _ = run(capsys, "local", "--a", "13", "--b", "17", "--t", "25",
                          "--format", "json")
@@ -236,8 +261,7 @@ _global = st.tuples(
     st.just(["global"]), _field(300), _rational(300).map(lambda t: [f"--t={t}"]),
     _int(-1, 6).map(lambda c: ["--cap", c]),
     st.sampled_from([[], ["--minus-one-generates"], ["--no-witness-search"]]), _fmt)
-# a leading '-' would make argparse read the generator list as an option
-_gen = st.tuples(st.integers(0, 10 ** 6), st.integers(-10 ** 6, 10 ** 6)).map(
+_gen = st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6)).map(
     lambda g: f"{g[0]}:{g[1]}")
 _extra = st.lists(st.lists(_gen, min_size=1, max_size=3).map(lambda gs: ["--extra", ",".join(gs)]),
                   max_size=2).map(lambda parts: sum(parts, []))

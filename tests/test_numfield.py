@@ -143,6 +143,20 @@ def test_count_ideal_norms_gauss():
         assert c == sum(1 for n in brute if n <= B)
 
 
+def test_count_ideal_norms_residue_gcds_3_and_4():
+    # x^3 - 2: 2 and 3 are totally ramified, g = 3 at the p = 1 mod 3 where 2
+    # is not a cube; Q(zeta_5): 5 is totally ramified, g = 4 at p = 2, 3 mod 5
+    for coeffs, overrides, gcds in (((-2, 0, 0, 1), {2: ((3, 1),), 3: ((3, 1),)}, {1, 3}),
+                                    ((1, 1, 1, 1, 1), {5: ((4, 1),)}, {1, 2, 4})):
+        K = NumberField(coeffs, overrides=overrides)
+        assert {numfield.splitting_data(K, p).residue_gcd()
+                for p in arith.sieve_primes(500)} == gcds
+        for B in (1, 2, 3, 500):
+            for Bi, c in numfield.count_ideal_norms(K, B):
+                assert c == sum(numfield.is_ideal_norm(K, n) for n in range(1, Bi + 1)), \
+                    (coeffs, B, Bi)
+
+
 def test_count_ideal_norms_requires_overrides_at_bad_primes():
     with pytest.raises(UnsupportedPrimeError):
         numfield.count_ideal_norms(QUARTIC_13_17, 50)
