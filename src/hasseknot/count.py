@@ -1,11 +1,14 @@
 """Counting harness for N_loc(B), N_glob(B), N_ce(B) over a biquadratic field.
 
 Rationals t = a/b are enumerated by height H(t) = max(|a|, b).  The
-everywhere-local test is evaluated through per-integer tables built by
-sieving over the primes up to B: the Hilbert-symbol bits of each prime at the
-fixed places (infinity, 2, p | ab) are XORed into a bitmask profile of its
-multiples wherever its exponent is odd, and the other primes only need the
-parity of their exponent.  N_loc counts the coprime pairs with matching
+everywhere-local test is evaluated through per-integer tables: the
+Hilbert-symbol bits of each prime at the fixed places (infinity, 2, p | ab)
+are XORed into a bitmask profile of its multiples wherever its exponent is
+odd, and the other primes only need the parity of their exponent.  Away from
+2ab those bits are real characters of the prime, computed for all primes at
+once; the tables take one slice per power of a prime up to sqrt B and one
+fancy-indexed update per cofactor k < sqrt B for the primes above it, which
+divide each n <= B at most once.  N_loc counts the coprime pairs with matching
 profiles by Moebius inversion over the common divisor.  A squarefree d
 with bad part e(d) has the class histogram of the local integers up to
 B // (d * e(d)), shifted by a profile that the pair count ignores, so N_loc
@@ -91,14 +94,14 @@ class LocalTables:
     """Per-integer data for 1..B: `ok[n]` says no non-split prime outside the
     fixed places divides n to odd order; `profile[n]` packs the Hilbert-symbol
     bits of n at the fixed places; `p_minus` is the profile of -1; `primes`
-    are the primes up to B that the tables were sieved over."""
+    are the primes up to B that the tables were sieved over, as int64."""
 
     bound: int
     ok: np.ndarray
     profile: np.ndarray
     p_minus: int
     bit_places: tuple[tuple[Place, int], ...]  # (place, symbol argument) per bit
-    primes: list[int]
+    primes: np.ndarray
 
     def passes(self, t: Fraction) -> bool:
         """Everywhere-local test for t with H(t) <= bound, via the tables."""
@@ -109,9 +112,70 @@ class LocalTables:
         return x == (self.p_minus if t < 0 else 0)
 
 
+_SYMBOL_BOUND = 1 << 31  # products of two residues mod p < 2^31 fit an int64
+
+
+def _legendre(q: int, primes: np.ndarray) -> np.ndarray:
+    """(p|q) as +-1 int8 for the odd prime q at each odd prime p != q of
+    `primes`, all below 2^31.
+
+    By reciprocity (p|q) is (q|p), negated when p = q = 3 mod 4, and (q|p)
+    is Euler's criterion on q mod p.  q is reduced 32 bits at a time, so
+    every intermediate stays below 2^63 however large q is."""
+    r = np.zeros_like(primes)
+    for shift in range(q.bit_length() // 32 * 32, -1, -32):
+        r = ((r << 32) | ((q >> shift) & 0xFFFFFFFF)) % primes
+    e, s = primes >> 1, np.ones_like(primes)  # s = r^((p - 1) / 2) mod p at the end
+    while e.any():
+        s = np.where(e & 1, s * r % primes, s)
+        r = r * r % primes
+        e >>= 1
+    leg = np.where(s == 1, 1, -1).astype(np.int8)
+    if q % 4 == 3:
+        leg[primes % 4 == 3] *= -1
+    return leg
+
+
+def _cofactor_multiples(B: int, primes: np.ndarray):
+    """Yield (k * primes[lo:hi], slice(lo, hi)) for k = 1, 2, ..., where
+    primes[lo:hi] are the p of the sorted array `primes` with
+    isqrt(B) < p <= B // k.
+
+    Such a p divides each n <= B at most once, and then n = k * p with
+    k < sqrt(B).  So the pairs cover every multiple of these primes exactly
+    once, and the indices of one k are distinct: one fancy-indexed update
+    per k applies all of its primes.  The primes up to isqrt(B) are left to
+    the caller, whose slice updates also reach their powers."""
+    lo = int(np.searchsorted(primes, math.isqrt(B), side="right"))
+    ks = np.arange(1, B // (math.isqrt(B) + 1) + 1)
+    for k, hi in zip(ks.tolist(), np.searchsorted(primes, B // ks, side="right").tolist()):
+        if hi <= lo:
+            return
+        yield k * primes[lo:hi], slice(lo, hi)
+
+
 def local_tables(F: biquad.BiquadField, B: int) -> LocalTables:
+    """The per-integer tables of F for 1..B.
+
+    Each prime p <= B XORs its Hilbert-symbol bits (p, d)_v at the fixed
+    places into the profile of every n it divides to odd order, and a bad
+    prime (outside 2ab, with (a|p) and (b|p) not both 1) makes n fail.  For
+    p outside 2ab these are real characters of p, computed for all such
+    primes at once: (p, d)_2 is a function of p mod 8, (p, d)_q is the
+    Legendre symbol (p|q) when the odd q | ab divides d and 1 otherwise,
+    and (a|p), (b|p) are the products of those symbols over the places
+    dividing 2ab, by the product formula.  Only the primes dividing 2ab go
+    through `arith.hilbert`.  The primes up to sqrt B are sieved over their
+    powers, one slice each; the larger ones one cofactor at a time.
+
+    Raises DomainError for B < 1, for more than 63 profile bits, and for
+    B >= 2^31, before allocating: the symbols multiply residues mod p <= B
+    in int64."""
     if B < 1:
         raise DomainError("B must be >= 1")
+    if B >= _SYMBOL_BOUND:
+        raise DomainError("B must be below 2^31: the local tables multiply "
+                          "residues mod primes up to B in int64")
     bit_places: list[tuple[Place, int]] = []
     for v, lt in F.survey:
         if lt.kind == biquad.QUADRATIC:
@@ -121,25 +185,49 @@ def local_tables(F: biquad.BiquadField, B: int) -> LocalTables:
             bit_places.append((v, F.b))
     if len(bit_places) > 63:
         raise DomainError(f"{len(bit_places)} profile bits exceed the 63 of an int64")
+    primes = np.array(arith.sieve_primes(B), dtype=np.int64)
+    fixed = [v for v, _ in F.survey[1:]]  # the places 2 and q | ab
+    at_fixed = np.isin(primes, sorted(F.ramified_support))
+    gen = primes[~at_fixed]  # the primes outside 2ab
+    legendre = {v.p: _legendre(v.p, gen) for v in fixed if v.p != 2}
+    ones = np.ones(len(gen), dtype=np.int8)
+
+    def symbol(d: int, v: Place) -> np.ndarray:
+        """(p, d)_v at the p in gen, as +-1; 1 at the real place as p > 0."""
+        if v.p is None:
+            return ones
+        if v.p == 2:
+            mod8 = [arith.hilbert(r, d, v) if r % 2 else 1 for r in range(8)]
+            return np.array(mod8, dtype=np.int8)[gen % 8]
+        return legendre[v.p] if d % v.p == 0 else ones
+
+    bits = np.zeros(len(primes), dtype=np.int64)
+    bits[~at_fixed] = sum((symbol(d, v) == -1).astype(np.int64) << k
+                          for k, (v, d) in enumerate(bit_places))
+    bits[at_fixed] = [sum(1 << k for k, (v, d) in enumerate(bit_places)
+                          if arith.hilbert(p, d, v) == -1)
+                      for p in primes[at_fixed].tolist()]
+    bad = np.zeros(len(primes), dtype=np.int8)
+    # (a|p) and (b|p) by the product formula over the places dividing 2ab
+    bad[~at_fixed] = (np.prod([symbol(F.a, v) for v in fixed], axis=0) == -1) | (
+        np.prod([symbol(F.b, v) for v in fixed], axis=0) == -1)
     profile = np.zeros(B + 1, dtype=np.int64)
-    # odd_bad[n]: primes outside the fixed places that do not split in all
-    # three subfields and divide n to odd order
+    # odd_bad[n]: bad primes dividing n to odd order
     odd_bad = np.zeros(B + 1, dtype=np.int8)
-    primes = arith.sieve_primes(B)
-    for p in primes:
-        bits = sum(1 << k for k, (v, d) in enumerate(bit_places)
-                   if arith.hilbert(p, d, v) == -1)
-        bad = p not in F.ramified_support and not (
-            arith.kronecker(F.a, p) == 1 and arith.kronecker(F.b, p) == 1)
+    small = primes * primes <= B
+    for p, pbits, pbad in zip(*(x[small].tolist() for x in (primes, bits, bad))):
         # touching the multiples of p, p^2, p^3, ... flips the parity of v_p
         q, sign = p, 1
         while q <= B:
-            if bits:
-                profile[q::q] ^= bits
-            if bad:
+            if pbits:
+                profile[q::q] ^= pbits
+            if pbad:
                 odd_bad[q::q] += sign
             q *= p
             sign = -sign
+    for n, sl in _cofactor_multiples(B, primes):
+        profile[n] ^= bits[sl]
+        odd_bad[n] += bad[sl]
     p_minus = 0
     for k, (v, d) in enumerate(bit_places):
         if arith.hilbert(-1, d, v) == -1:
@@ -174,13 +262,18 @@ def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
     # the n in 1..B of each class, in increasing order; the last part fails
     local = np.split(np.argsort(cid[1:], kind="stable") + 1,
                      np.cumsum(np.bincount(cid[1:], minlength=C + 1))[:-1])
+    primes = tables.primes[:np.searchsorted(tables.primes, B, side="right")]
     mu = np.ones(B + 1, dtype=np.int8)
     de = np.arange(B + 1, dtype=np.int64)  # d * e(d) at the squarefree d
-    for p in tables.primes:
+    for p in primes[primes * primes <= B].tolist():
         mu[p::p] *= -1
         mu[p * p::p * p] = 0
         if not tables.ok[p]:
             de[p::p] *= p
+    e = np.where(tables.ok[primes], 1, primes)  # e(p)
+    for n, sl in _cofactor_multiples(B, primes):
+        mu[n] *= -1
+        de[n] *= e[sl]
     totals = []
     for Bi in grid:
         ds = np.flatnonzero(mu[1:Bi + 1]) + 1

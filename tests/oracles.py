@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from hasseknot.errors import DomainError
+
 
 def trial_factorize(n: int) -> list[tuple[int, int]]:
     """Plain trial division; independent of the library kernel."""
@@ -112,6 +114,51 @@ def naive_local_count(field, B: int, grid: list[int]) -> dict[int, int]:
                         if H <= Bi:
                             totals[Bi] += 1
     return totals
+
+
+def local_tables_by_prime(F, B: int):
+    """count.local_tables as one Python iteration per prime up to B: the
+    bits and the bad flag of each prime from per-prime `arith.hilbert` and
+    `arith.kronecker` calls, applied by slices over its powers."""
+    import numpy as np
+    from hasseknot import arith, biquad
+    from hasseknot.count import LocalTables
+    if B < 1:
+        raise DomainError("B must be >= 1")
+    bit_places = []
+    for v, lt in F.survey:
+        if lt.kind == biquad.QUADRATIC:
+            bit_places.append((v, lt.d))
+        elif lt.kind == biquad.BIQUADRATIC:
+            bit_places.append((v, F.a))
+            bit_places.append((v, F.b))
+    if len(bit_places) > 63:
+        raise DomainError(f"{len(bit_places)} profile bits exceed the 63 of an int64")
+    profile = np.zeros(B + 1, dtype=np.int64)
+    # odd_bad[n]: primes outside the fixed places that do not split in all
+    # three subfields and divide n to odd order
+    odd_bad = np.zeros(B + 1, dtype=np.int8)
+    primes = arith.sieve_primes(B)
+    for p in primes:
+        bits = sum(1 << k for k, (v, d) in enumerate(bit_places)
+                   if arith.hilbert(p, d, v) == -1)
+        bad = p not in F.ramified_support and not (
+            arith.kronecker(F.a, p) == 1 and arith.kronecker(F.b, p) == 1)
+        # touching the multiples of p, p^2, p^3, ... flips the parity of v_p
+        q, sign = p, 1
+        while q <= B:
+            if bits:
+                profile[q::q] ^= bits
+            if bad:
+                odd_bad[q::q] += sign
+            q *= p
+            sign = -sign
+    p_minus = 0
+    for k, (v, d) in enumerate(bit_places):
+        if arith.hilbert(-1, d, v) == -1:
+            p_minus |= 1 << k
+    return LocalTables(B, odd_bad == 0, profile, p_minus, tuple(bit_places),
+                       np.array(primes, dtype=np.int64))
 
 
 def min_cyclic_index_bruteforce(m: int, n: int) -> int:

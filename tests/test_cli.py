@@ -284,3 +284,11 @@ _argv = st.one_of(st.one_of(_knot, _local, _global, _bicyclic).map(lambda parts:
 @given(_argv)
 def test_fuzz_exit_codes(argv):
     assert cli.dispatch(argv) in (0, 1, 2, 3), argv
+
+
+def test_count_bound_beyond_int64_symbols(capsys):
+    for cmd in ("count-integers", "count"):
+        status, out, err = run(capsys, cmd, "--a", "13", "--b", "17", "--bound", "4294967296")
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error:") and "2^31" in err and len(err.splitlines()) == 1, err

@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hasseknot import arith, biquad, count, numfield
@@ -9,10 +10,16 @@ from hasseknot.biquad import BiquadField
 from hasseknot.count import CountSeries, GlobMode
 from hasseknot.errors import ConfigError, DomainError
 
-from oracles import height_count_identity, heights_bruteforce, naive_local_count
+from oracles import (height_count_identity, heights_bruteforce, local_tables_by_prime,
+                     naive_local_count)
 
 F1317 = BiquadField(13, 17)
 F35 = BiquadField(3, 5)
+NINE_FIELDS = [BiquadField(a, b) for a, b in ((13, 17), (3, 5), (-1, 5), (2, 7), (-3, 13),
+                                               (6, 10), (5, -7), (30, -35), (-1, -2))]
+# 46 bit places: more than an int32 profile holds, within an int64
+WIDE = BiquadField(3 * 7 * 11 * 19 * 23 * 31 * 43 * 47 * 59 * 67 * 71 * 79 * 83,
+                   5 * 13 * 17 * 29 * 37 * 41 * 53 * 61 * 73 * 89 * 97 * 101 * 109 * 113)
 
 
 def test_enumerate_heights_small():
@@ -50,6 +57,59 @@ def test_local_tables_match_one_shot_test():
                     continue
                 for t in (Fraction(a, b), Fraction(-a, b)):
                     assert tables.passes(t) == biquad.is_everywhere_local_norm(F, t)[0], (F, t)
+
+
+def test_local_tables_match_per_prime_oracle():
+    cases = [(F, B) for F in NINE_FIELDS for B in (1, 2, 3, 100, 2048, 8192)]
+    for F, B in cases + [(WIDE, 200)]:
+        got, want = count.local_tables(F, B), local_tables_by_prime(F, B)
+        assert np.array_equal(got.ok, want.ok), (F, B)
+        assert np.array_equal(got.profile, want.profile), (F, B)
+        assert got.p_minus == want.p_minus, (F, B)
+        assert got.bit_places == want.bit_places, (F, B)
+        assert np.array_equal(got.primes, want.primes), (F, B)
+
+
+def test_local_tables_large_radicands():
+    # radicand primes q > B just below and above sqrt(2^63) ~ 3037000500,
+    # where q * q leaves an int64, and far above it
+    for F in (BiquadField(7 * 1000003, 17), BiquadField(3037000493, 13),
+              BiquadField(3037000507, 13), BiquadField((1 << 61) - 1, 5)):
+        tables = count.local_tables(F, 40)
+        for b in range(1, 41):
+            for a in range(1, 41):
+                if math.gcd(a, b) == 1:
+                    for t in (Fraction(a, b), Fraction(-a, b)):
+                        assert tables.passes(t) == biquad.is_everywhere_local_norm(F, t)[0], (F, t)
+        local = [biquad.is_everywhere_local_norm(F, n)[0] for n in range(1, 201)]
+        rows = count.count_integer_norms_local(F, 200)
+        assert rows == [(Bi, sum(local[:Bi])) for Bi, _ in rows], F
+
+
+def test_n_loc_across_the_sqrt_hand_off():
+    # at B = p^2 - 1, p^2, p^2 + 1 the prime p moves between the slice loop
+    # over the primes up to sqrt(B) and the per-cofactor pass above it
+    bounds = sorted({p * p + s for p in (2, 3, 5, 7) for s in (-1, 0, 1)})
+    for F in (F1317, BiquadField(-3, 13)):
+        for B in bounds:
+            grid, n_loc = count.n_loc_series(F, B)
+            naive = naive_local_count(F, B, grid)
+            assert n_loc == [naive[Bi] for Bi in grid], (F, B)
+
+
+def test_local_tables_bound_guard(monkeypatch):
+    class Sieved(Exception):
+        pass
+
+    def sieve(limit):
+        raise Sieved
+
+    # the guard refuses before the sieve, the first allocation of size B
+    monkeypatch.setattr(arith, "sieve_primes", sieve)
+    with pytest.raises(DomainError, match=r"2\^31.*int64"):
+        count.local_tables(F1317, 1 << 31)
+    with pytest.raises(Sieved):
+        count.local_tables(F1317, (1 << 31) - 1)
 
 
 def test_count_series_sieves_primes_once(monkeypatch):
@@ -129,9 +189,7 @@ def test_series_validation():
 
 
 def test_local_tables_profile_width():
-    # 46 bit places: more than an int32 profile holds, within an int64
-    F = BiquadField(3 * 7 * 11 * 19 * 23 * 31 * 43 * 47 * 59 * 67 * 71 * 79 * 83,
-                    5 * 13 * 17 * 29 * 37 * 41 * 53 * 61 * 73 * 89 * 97 * 101 * 109 * 113)
+    F = WIDE
     assert len(count.local_tables(F, 2).bit_places) == 46
     naive = sum(biquad.is_everywhere_local_norm(F, n)[0] for n in range(1, 201))
     assert naive == 14
