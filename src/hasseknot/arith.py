@@ -49,8 +49,9 @@ def sieve_primes(limit: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division by tiny primes, then Miller-Rabin on the
-    witness set that is deterministic below _MR_LIMIT; from _MR_LIMIT on,
+    """Primality by trial division by the twelve witness primes, which
+    decides every n < 41^2; then Miller-Rabin on the witness set, which is
+    deterministic below _MR_LIMIT; from _MR_LIMIT on,
     Baillie-PSW (a strong base-2 test and a strong Lucas test), which has
     no known counterexample."""
     if n < 2:
@@ -58,6 +59,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:
+        return True  # no prime factor <= 37, so none <= sqrt(n)
     d = n - 1
     s = 0
     while d % 2 == 0:

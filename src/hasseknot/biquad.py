@@ -232,12 +232,27 @@ def mul_coords(F: BiquadField, x, y) -> tuple[Fraction, Fraction, Fraction, Frac
 # points a predicate marks; _least picks the first certificate of a shell.
 # A hit at shell s <= cap does not depend on the cap, so one search to the
 # largest cap returns what escalating caps would.
+#
+# The integer norm is a rank-2 form over the point halves i = (n0, n1) and
+# j = (n2, n3).  With P = n0^2 + a n1^2, Q = 2 n0 n1, R = b (n2^2 + a n3^2)
+# and S = 2 b n2 n3, N = (P - R)^2 - a (Q - S)^2 = U_i + V_j - 2 P_i R_j +
+# 2a Q_i S_j, where U = P^2 - a Q^2 and V = R^2 - a S^2.  On shell r the sum
+# of the absolute values of those four terms is at most coeff * r^4, with
+# coeff = (1 + |b|)^2 ((1 + |a|)^2 + 4|a|).  Up to the radius r53 where
+# coeff * r^4 <= 2^53 - 1, every product and every partial sum is an integer
+# that float64 holds exactly, in any order of summation and with or without
+# FMA; so a block of the shell is one float64 matrix product
+# [U, -2P, 2aQ, 1] @ [1, R, S, V].  Up to the radius r64 of 2^63 - 1 the same
+# block is three int64 outer products.  Beyond r64 the search is refused.
 
 _CHUNK = 1 << 22
 
 
-def _int64_safe_radius(a: int, b: int) -> int:
-    bound = (1 << 63) - 1
+def _exact_radius(a: int, b: int, bits: int) -> int:
+    """The largest r >= 0 with coeff * r^4 <= 2^bits - 1: the last shell
+    whose norms, and every partial sum of their four terms, fit in a signed
+    integer of that many bits."""
+    bound = (1 << bits) - 1
     coeff = (1 + abs(b)) ** 2 * ((1 + abs(a)) ** 2 + 4 * abs(a))
     r = int((bound // coeff) ** 0.25)
     while (r + 1) ** 4 * coeff <= bound:
@@ -247,71 +262,57 @@ def _int64_safe_radius(a: int, b: int) -> int:
     return r
 
 
-def _face_boxes(r: int):
-    """Coordinate boxes whose union is the n0,n1,n2 >= 0 part of the surface
-    max(n0, n1, n2, |n3|) = r."""
-    lo = np.arange(0, r, dtype=np.int64)
-    hi = np.arange(0, r + 1, dtype=np.int64)
-    pm = np.arange(-r, r + 1, dtype=np.int64)
-    yield (np.array([r], dtype=np.int64), hi, hi, pm)
-    yield (lo, np.array([r], dtype=np.int64), hi, pm)
-    yield (lo, lo, np.array([r], dtype=np.int64), pm)
-    yield (lo, lo, lo, np.array([-r, r], dtype=np.int64))
-
-
-def _chunked(box):
-    """Split a coordinate box along its largest axis until each piece has at
-    most _CHUNK points."""
-    stack = [box]
-    while stack:
-        v = stack.pop()
-        total = 1
-        for axis in v:
-            total *= len(axis)
-        if total <= _CHUNK or max(len(axis) for axis in v) == 1:
-            yield v
-        else:
-            i = max(range(4), key=lambda k: len(v[k]))
-            mid = len(v[i]) // 2
-            left = list(v)
-            right = list(v)
-            left[i] = v[i][:mid]
-            right[i] = v[i][mid:]
-            stack.append(tuple(left))
-            stack.append(tuple(right))
-
-
 def _scan(F: BiquadField, cap: int, hit):
     """For r = 1..cap, yield (r, points): the (n0, n1, n2, n3, N) on the
-    n0, n1, n2 >= 0 part of integer shell r whose int64 norms N the
-    predicate `hit` marks, given the norms of a block as an array.  With hit
-    None nothing is evaluated.  DomainError at the first shell whose norm
-    values can overflow int64 for (a, b)."""
+    n0, n1, n2 >= 0 part of integer shell r whose norms N the predicate
+    `hit` marks, given the norms of a block as a 2-D array: float64 up to
+    shell r53, int64 beyond it.  With hit None nothing is evaluated.
+    DomainError at the first shell past r64, whose norms can overflow int64
+    for (a, b)."""
     a, b = F.a, F.b
-    ab = a * b
-    safe_r = _int64_safe_radius(a, b)
+    r53, r64 = _exact_radius(a, b, 53), _exact_radius(a, b, 63)
     for r in range(1, cap + 1):
-        if r > safe_r:
-            if safe_r < 1:
+        if r > r64:
+            if r64 < 1:
                 raise DomainError(f"(a,b)=({a},{b}) is too large for the exact int64 "
                                   f"search: no shell fits")
             raise DomainError(
                 f"shell {r} exceeds the exact int64 range for (a,b)=({a},{b}); "
-                f"cap must be <= {safe_r}")
+                f"cap must be <= {r64}")
         points = []
-        for box in _face_boxes(r) if hit else ():
-            for v0, v1, v2, v3 in _chunked(box):
-                n0 = v0[:, None, None, None]
-                n1 = v1[None, :, None, None]
-                n2 = v2[None, None, :, None]
-                n3 = v3[None, None, None, :]
-                A = n0 * n0 + a * n1 * n1 - b * n2 * n2 - ab * n3 * n3
-                B = 2 * n0 * n1 - 2 * b * n2 * n3
-                N = A * A - a * B * B
-                marked = hit(N)
-                if marked.any():
-                    points += [(int(v0[i]), int(v1[j]), int(v2[k]), int(v3[l]),
-                                int(N[i, j, k, l])) for i, j, k, l in zip(*np.nonzero(marked))]
+        if hit:
+            # halves i in [0, r]^2 and j in [0, r] x [-r, r]; shell r is
+            # (max i = r) x (all j) and (max i < r) x (max j = r)
+            k = np.arange(r + 1, dtype=np.int64)
+            n0, n1 = np.repeat(k, r + 1), np.tile(k, r + 1)
+            n2, n3 = np.repeat(k, 2 * r + 1), np.tile(np.arange(-r, r + 1, dtype=np.int64), r + 1)
+            P, Q = n0 * n0 + a * n1 * n1, 2 * n0 * n1
+            R, S = b * (n2 * n2 + a * n3 * n3), 2 * b * n2 * n3
+            left = np.stack([P * P - a * Q * Q, -2 * P, 2 * a * Q, np.ones_like(P)], axis=1)
+            right = np.stack([np.ones_like(R), R, S, R * R - a * S * S])
+            if r <= r53:
+                left, right = left.astype(np.float64), right.astype(np.float64)
+            outer = np.maximum(n0, n1) == r
+            rows = (np.flatnonzero(outer), np.flatnonzero(~outer))
+            cols = (np.arange(n2.size), np.flatnonzero(np.maximum(n2, np.abs(n3)) == r))
+            for I, J in zip(rows, cols):
+                L = left[I]
+                step = max(1, _CHUNK // I.size)
+                for s in range(0, J.size, step):
+                    Js = J[s:s + step]
+                    M = right[:, Js]
+                    if r <= r53:
+                        N = L @ M
+                    else:
+                        N = np.add.outer(L[:, 0], M[3])
+                        N += np.multiply.outer(L[:, 1], M[1])
+                        N += np.multiply.outer(L[:, 2], M[2])
+                    marked = hit(N)
+                    if marked.any():
+                        ii, jj = np.nonzero(marked)
+                        points += [(int(n0[i]), int(n1[i]), int(n2[j]), int(n3[j]), int(v))
+                                   for i, j, v in zip(I[ii], Js[jj], N[ii, jj])]
+                    del N, marked  # free the block before the next one is allocated
         yield r, points
 
 
@@ -358,7 +359,11 @@ def _shell_search(F: BiquadField, targets: dict[str, Fraction], cap: int
                 value_map.setdefault(int(v), (label, q))
     i64max = (1 << 63) - 1
     tvals = np.array(sorted(v for v in value_map if abs(v) <= i64max), dtype=np.int64)
-    hit = (lambda N: np.isin(N, tvals)) if tvals.size else None
+    # float64 blocks hold norms below 2^53 in magnitude; so do the targets
+    # that can match them, and those convert to float64 exactly
+    fvals = tvals[np.abs(tvals) < 1 << 53].astype(np.float64)
+    hit = (lambda N: np.isin(N, fvals if N.dtype == np.float64 else tvals)
+           ) if tvals.size else None
     # a point of integer shell r with denominator q lies on shell max(r, q)
     pending: dict[int, list] = {}
     for r, points in _scan(F, cap, hit):

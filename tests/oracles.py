@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from hasseknot.errors import DomainError
 
 
@@ -195,3 +197,92 @@ def cubic_delta_prediction() -> Fraction:
     """Density of primes with a degree-1 factor for a cubic with group S3:
     the identity and the three transpositions fix a root, 4 of 6 classes."""
     return Fraction(4, 6)
+
+
+# --- the shell search by coordinate faces ------------------------------------
+#
+# A drop-in for biquad._scan that shares none of its algebra: every face of
+# the shell is a 4-D coordinate box, split along its longest axis into pieces
+# of at most _CHUNK points, and the quartic norm is computed pointwise in
+# int64 through the tower form.
+
+_CHUNK = 1 << 22
+
+
+def _int64_safe_radius(a: int, b: int) -> int:
+    bound = (1 << 63) - 1
+    coeff = (1 + abs(b)) ** 2 * ((1 + abs(a)) ** 2 + 4 * abs(a))
+    r = int((bound // coeff) ** 0.25)
+    while (r + 1) ** 4 * coeff <= bound:
+        r += 1
+    while r ** 4 * coeff > bound:
+        r -= 1
+    return r
+
+
+def _face_boxes(r: int):
+    """Coordinate boxes whose union is the n0,n1,n2 >= 0 part of the surface
+    max(n0, n1, n2, |n3|) = r."""
+    lo = np.arange(0, r, dtype=np.int64)
+    hi = np.arange(0, r + 1, dtype=np.int64)
+    pm = np.arange(-r, r + 1, dtype=np.int64)
+    yield (np.array([r], dtype=np.int64), hi, hi, pm)
+    yield (lo, np.array([r], dtype=np.int64), hi, pm)
+    yield (lo, lo, np.array([r], dtype=np.int64), pm)
+    yield (lo, lo, lo, np.array([-r, r], dtype=np.int64))
+
+
+def _chunked(box):
+    """Split a coordinate box along its largest axis until each piece has at
+    most _CHUNK points."""
+    stack = [box]
+    while stack:
+        v = stack.pop()
+        total = 1
+        for axis in v:
+            total *= len(axis)
+        if total <= _CHUNK or max(len(axis) for axis in v) == 1:
+            yield v
+        else:
+            i = max(range(4), key=lambda k: len(v[k]))
+            mid = len(v[i]) // 2
+            left = list(v)
+            right = list(v)
+            left[i] = v[i][:mid]
+            right[i] = v[i][mid:]
+            stack.append(tuple(left))
+            stack.append(tuple(right))
+
+
+def scan_by_faces(F, cap: int, hit):
+    """For r = 1..cap, yield (r, points): the (n0, n1, n2, n3, N) on the
+    n0, n1, n2 >= 0 part of integer shell r whose int64 norms N the
+    predicate `hit` marks, given the norms of a block as an array.  With hit
+    None nothing is evaluated.  DomainError at the first shell whose norm
+    values can overflow int64 for (a, b)."""
+    a, b = F.a, F.b
+    ab = a * b
+    safe_r = _int64_safe_radius(a, b)
+    for r in range(1, cap + 1):
+        if r > safe_r:
+            if safe_r < 1:
+                raise DomainError(f"(a,b)=({a},{b}) is too large for the exact int64 "
+                                  f"search: no shell fits")
+            raise DomainError(
+                f"shell {r} exceeds the exact int64 range for (a,b)=({a},{b}); "
+                f"cap must be <= {safe_r}")
+        points = []
+        for box in _face_boxes(r) if hit else ():
+            for v0, v1, v2, v3 in _chunked(box):
+                n0 = v0[:, None, None, None]
+                n1 = v1[None, :, None, None]
+                n2 = v2[None, None, :, None]
+                n3 = v3[None, None, None, :]
+                A = n0 * n0 + a * n1 * n1 - b * n2 * n2 - ab * n3 * n3
+                B = 2 * n0 * n1 - 2 * b * n2 * n3
+                N = A * A - a * B * B
+                marked = hit(N)
+                if marked.any():
+                    points += [(int(v0[i]), int(v1[j]), int(v2[k]), int(v3[l]),
+                                int(N[i, j, k, l])) for i, j, k, l in zip(*np.nonzero(marked))]
+        yield r, points

@@ -229,7 +229,8 @@ def test_squarefree_kernel():
 def test_is_prime_spot_checks():
     assert arith.is_prime(2) and arith.is_prime(10 ** 9 + 7)
     assert not arith.is_prime(1) and not arith.is_prime(561)  # Carmichael
-    for limit in (0, 1, 2, 3, 1000):
+    # trial division alone decides below 41^2 = 1681, which is composite
+    for limit in (0, 1, 2, 3, 1000, 1680, 1681, 1682, 5000):
         assert arith.sieve_primes(limit) == [n for n in range(limit + 1) if arith.is_prime(n)]
 
 

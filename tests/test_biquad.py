@@ -9,7 +9,7 @@ from hasseknot.arith import INFINITE_PLACE, Place
 from hasseknot.biquad import BiquadField, SearchConfig
 from hasseknot.errors import ConfigError, DegenerateFieldError, DomainError
 
-from oracles import is_square_mod_p_bruteforce
+from oracles import is_square_mod_p_bruteforce, scan_by_faces
 
 F1317 = BiquadField(13, 17)
 F35 = BiquadField(3, 5)
@@ -202,6 +202,54 @@ def test_negative_norm_witness():
         cert = biquad.negative_norm_witness(BiquadField(a, b), 30)
         assert (cert.coords, cert.value) == (coords, value), (a, b)
     assert biquad.negative_norm_witness(BiquadField(-1, 5), 30) is None  # totally imaginary
+
+
+# The nine fields of the N_loc gates; then three whose float64-exact radius
+# r53 is crossed at caps <= 14, the last also past its int64 radius r64 = 13;
+# and one with r53 = 0, where shell 1 already runs on int64.
+SCAN_FIELDS = [(13, 17), (3, 5), (-1, 5), (2, 7), (-3, 13), (6, 10), (5, -7), (30, -35),
+               (-1, -2), (1009, 1013), (-997, 1013), (4001, -4003), (20011, 20021)]
+
+
+def _search_outcomes(rng):
+    out = []
+    for a, b in SCAN_FIELDS:
+        F = BiquadField(a, b)
+        ts = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 300), rng.choice([1, 1, 2, 4, 9]))
+              for _ in range(2)] + [Fraction(a * b), Fraction(1)]
+        # norms of points out to shell 14, so that both kernels find hits
+        points = [[rng.randint(-14, 14) for _ in range(4)] for _ in range(2)]
+        ts += [biquad.norm_form_eval(F, n) for n in points if any(n)]
+        for cap in range(15):
+            calls = [lambda: biquad.negative_norm_witness(F, cap)]
+            for t in ts:
+                calls += [lambda t=t: biquad.certificate_search(F, t, cap),
+                          lambda t=t: biquad._shell_search(F, {"t": t, "-t": -t}, cap)]
+            for call in calls:
+                try:
+                    out.append(call())
+                except DomainError as exc:
+                    out.append(f"DomainError: {exc}")
+    return out
+
+
+def test_scan_equals_the_face_oracle(monkeypatch):
+    # small enough that the blocks of shells 6 and up split into j chunks
+    monkeypatch.setattr(biquad, "_CHUNK", 1000)
+    got = _search_outcomes(random.Random(10))
+    monkeypatch.setattr(biquad, "_scan", scan_by_faces)
+    assert got == _search_outcomes(random.Random(10))
+
+
+def test_exact_radius_is_the_last_fitting_shell():
+    for a, b in SCAN_FIELDS:
+        coeff = (1 + abs(b)) ** 2 * ((1 + abs(a)) ** 2 + 4 * abs(a))
+        for bits in (53, 63):
+            r = biquad._exact_radius(a, b, bits)
+            assert coeff * r ** 4 <= 2 ** bits - 1 < coeff * (r + 1) ** 4, (a, b, bits)
+    assert biquad._exact_radius(20011, 20021, 53) == 0
+    assert biquad._exact_radius(20011, 20021, 63) == 2
+    assert biquad._exact_radius(4001, -4003, 63) == 13
 
 
 def test_decide_global_not_norm_25():

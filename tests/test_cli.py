@@ -1,7 +1,7 @@
 import json
 import time
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hasseknot import cli
 
@@ -258,8 +258,8 @@ _knot = st.tuples(st.just(["knot"]), _field(10 ** 6), _fmt)
 _local = st.tuples(st.just(["local"]), _field(10 ** 6),
                    _rational(10 ** 6).map(lambda t: ["--t", t]), _fmt)
 _global = st.tuples(
-    st.just(["global"]), _field(300), _rational(300).map(lambda t: [f"--t={t}"]),
-    _int(-1, 6).map(lambda c: ["--cap", c]),
+    st.just(["global"]), _field(10 ** 4), _rational(300).map(lambda t: [f"--t={t}"]),
+    _int(-1, 12).map(lambda c: ["--cap", c]),
     st.sampled_from([[], ["--minus-one-generates"], ["--no-witness-search"]]), _fmt)
 _gen = st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6)).map(
     lambda g: f"{g[0]}:{g[1]}")
@@ -282,6 +282,10 @@ _argv = st.one_of(st.one_of(_knot, _local, _global, _bicyclic).map(lambda parts:
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=400)
 @given(_argv)
+# searches that cross from float64 to int64 shells (r53 = 9, r64 = 54), and
+# from int64 shells to the refusal (r53 = 0, r64 = 5)
+@example(["global", "--a", "1009", "--b", "1013", "--t", "4", "--cap", "12"])
+@example(["global", "--a", "9973", "--b", "9967", "--t", "4", "--cap", "12"])
 def test_fuzz_exit_codes(argv):
     assert cli.dispatch(argv) in (0, 1, 2, 3), argv
 
