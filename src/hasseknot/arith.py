@@ -48,6 +48,28 @@ def sieve_primes(limit: int) -> list[int]:
     return list(itertools.compress(range(limit + 1), flags))
 
 
+def prime_power_multiples(B: int, primes: np.ndarray):
+    """Walk the multiples n <= B of each power p^k <= B of the primes p in
+    the sorted int64 array `primes`, as (at, i, k) for `table[at] op=
+    values[i]`.  A p <= sqrt B gives the slice of the multiples of each p^k,
+    with i its index.  A p above sqrt B divides each n <= B at most once, as
+    n = c * p with c < sqrt B, so those primes go one cofactor c at a time:
+    at = c * primes[lo:hi], i = slice(lo, hi), k = 1.  Each multiple of each
+    p^k is reached once, and no yield repeats an index."""
+    r = math.isqrt(B)
+    lo = int(np.searchsorted(primes, r, side="right"))
+    for i, p in enumerate(primes[:lo].tolist()):
+        q, k = p, 1
+        while q <= B:
+            yield slice(q, B + 1, q), i, k
+            q, k = q * p, k + 1
+    cs = np.arange(1, B // (r + 1) + 1)
+    for c, hi in zip(cs.tolist(), np.searchsorted(primes, B // cs, side="right").tolist()):
+        if hi <= lo:
+            return
+        yield c * primes[lo:hi], slice(lo, hi), 1
+
+
 def is_prime(n: int) -> bool:
     """Primality by trial division by the twelve witness primes, which
     decides every n < 41^2; then Miller-Rabin on the witness set, which is

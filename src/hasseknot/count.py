@@ -6,13 +6,13 @@ Hilbert-symbol bits of each prime at the fixed places (infinity, 2, p | ab)
 are XORed into a bitmask profile of its multiples wherever its exponent is
 odd, and the other primes only need the parity of their exponent.  Away from
 2ab those bits are real characters of the prime, computed for all primes at
-once; the tables take one slice per power of a prime up to sqrt B and one
-fancy-indexed update per cofactor k < sqrt B for the primes above it, which
-divide each n <= B at most once.  N_loc counts the coprime pairs with matching
-profiles by Moebius inversion over the common divisor.  A squarefree d
-with bad part e(d) has the class histogram of the local integers up to
-B // (d * e(d)), shifted by a profile that the pair count ignores, so N_loc
-only needs that histogram at the O(sqrt B) floor values.  The global count
+once; the tables, like the Moebius function, are sieved over the prime
+powers up to B by `arith.prime_power_multiples`.  N_loc counts the coprime
+pairs with matching profiles by Moebius inversion over the common divisor.
+A squarefree d with bad part e(d) has the class histogram of the local
+integers up to B // (d * e(d)), shifted by a profile that the pair count
+ignores, so N_loc only needs that histogram at the O(sqrt B) floor values
+of B, which one bincount gives for every grid level at once.  The global count
 comes from the exact half rule when the knot group is Z/2 generated by -1,
 from equality when the knot group is trivial, and from a certificate-search
 lower bound otherwise.
@@ -136,24 +136,6 @@ def _legendre(q: int, primes: np.ndarray) -> np.ndarray:
     return leg
 
 
-def _cofactor_multiples(B: int, primes: np.ndarray):
-    """Yield (k * primes[lo:hi], slice(lo, hi)) for k = 1, 2, ..., where
-    primes[lo:hi] are the p of the sorted array `primes` with
-    isqrt(B) < p <= B // k.
-
-    Such a p divides each n <= B at most once, and then n = k * p with
-    k < sqrt(B).  So the pairs cover every multiple of these primes exactly
-    once, and the indices of one k are distinct: one fancy-indexed update
-    per k applies all of its primes.  The primes up to isqrt(B) are left to
-    the caller, whose slice updates also reach their powers."""
-    lo = int(np.searchsorted(primes, math.isqrt(B), side="right"))
-    ks = np.arange(1, B // (math.isqrt(B) + 1) + 1)
-    for k, hi in zip(ks.tolist(), np.searchsorted(primes, B // ks, side="right").tolist()):
-        if hi <= lo:
-            return
-        yield k * primes[lo:hi], slice(lo, hi)
-
-
 def local_tables(F: biquad.BiquadField, B: int) -> LocalTables:
     """The per-integer tables of F for 1..B.
 
@@ -165,8 +147,7 @@ def local_tables(F: biquad.BiquadField, B: int) -> LocalTables:
     Legendre symbol (p|q) when the odd q | ab divides d and 1 otherwise,
     and (a|p), (b|p) are the products of those symbols over the places
     dividing 2ab, by the product formula.  Only the primes dividing 2ab go
-    through `arith.hilbert`.  The primes up to sqrt B are sieved over their
-    powers, one slice each; the larger ones one cofactor at a time.
+    through `arith.hilbert`.  `arith.prime_power_multiples` walks the powers.
 
     Raises DomainError for B < 1, for more than 63 profile bits, and for
     B >= 2^31, before allocating: the symbols multiply residues mod p <= B
@@ -214,20 +195,13 @@ def local_tables(F: biquad.BiquadField, B: int) -> LocalTables:
     profile = np.zeros(B + 1, dtype=np.int64)
     # odd_bad[n]: bad primes dividing n to odd order
     odd_bad = np.zeros(B + 1, dtype=np.int8)
-    small = primes * primes <= B
-    for p, pbits, pbad in zip(*(x[small].tolist() for x in (primes, bits, bad))):
-        # touching the multiples of p, p^2, p^3, ... flips the parity of v_p
-        q, sign = p, 1
-        while q <= B:
-            if pbits:
-                profile[q::q] ^= pbits
-            if pbad:
-                odd_bad[q::q] += sign
-            q *= p
-            sign = -sign
-    for n, sl in _cofactor_multiples(B, primes):
-        profile[n] ^= bits[sl]
-        odd_bad[n] += bad[sl]
+    for at, i, k in arith.prime_power_multiples(B, primes):
+        # the multiples of p, p^2, p^3, ... flip the parity of v_p in turn;
+        # the slices of a prime without bits, or not bad, change nothing
+        if isinstance(i, slice) or bits[i]:
+            profile[at] ^= bits[i]
+        if isinstance(i, slice) or bad[i]:
+            odd_bad[at] += bad[i] if k % 2 else -bad[i]
     p_minus = 0
     for k, (v, d) in enumerate(bit_places):
         if arith.hilbert(-1, d, v) == -1:
@@ -250,40 +224,48 @@ def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
     G(B_i // (d * e(d))) with its classes shifted by one profile, where G(v)
     is the class histogram of the passing n <= v, and Q does not change
     under the shift.  Hence n_loc(B_i) = sum_v M(v) * Q(G(v)), where M(v) is
-    the sum of mu(d) over the squarefree d with B_i // (d * e(d)) = v, and G
-    is needed only at the O(sqrt B_i) values v where M(v) != 0."""
+    the sum of mu(d) over the squarefree d with B_i // (d * e(d)) = v.
+    Every such v is 0 or a floor value B // x, as the grid is B_i = B >> k.
+    So G is taken at those O(sqrt B) values once for all levels: one
+    bincount of slot(n) * (C + 1) + class(n), slot(n) being the least floor
+    value >= n, then a cumsum over the slots.  Each level counts M by slot."""
     B = grid[-1]
-    profiles, cid = np.unique(tables.profile[:B + 1], return_inverse=True)
+    ok = tables.ok[:B + 1]
+    # the classes are the profiles of the local n, sorted among those n alone
+    profiles, local_cid = np.unique(tables.profile[:B + 1][ok], return_inverse=True)
     C = len(profiles)
-    cid = np.where(tables.ok[:B + 1], cid, C)  # class C: fails the local test
+    cid = np.full(B + 1, C)  # class C: fails the local test
+    cid[ok] = local_cid
     mates = profiles ^ tables.p_minus
     j = np.minimum(np.searchsorted(profiles, mates), C - 1)
     partner = np.append(np.where(profiles[j] == mates, j, C), C)
-    # the n in 1..B of each class, in increasing order; the last part fails
-    local = np.split(np.argsort(cid[1:], kind="stable") + 1,
-                     np.cumsum(np.bincount(cid[1:], minlength=C + 1))[:-1])
+    # G at 0 and at the floor values of B: n counts in the slot of the least
+    # floor value >= n, and a cumsum over the slots adds up the n <= each one
+    r = math.isqrt(B)
+    floors = np.array(sorted({*range(r + 1), *(B // x for x in range(1, r + 1))}))
+    cells = np.repeat(np.arange(1, len(floors)) * (C + 1), np.diff(floors))
+    cells += cid[1:]
+    G = np.bincount(cells, minlength=len(floors) * (C + 1)).reshape(-1, C + 1).cumsum(axis=0)
+    G[:, C] = 0  # the failing n are in no class
+    del cid, cells  # two int64 arrays of B entries, freed before the level loop
+    Q = (G * (G + G[:, partner])).sum(axis=1)
     primes = tables.primes[:np.searchsorted(tables.primes, B, side="right")]
     mu = np.ones(B + 1, dtype=np.int8)
     de = np.arange(B + 1, dtype=np.int64)  # d * e(d) at the squarefree d
-    for p in primes[primes * primes <= B].tolist():
-        mu[p::p] *= -1
-        mu[p * p::p * p] = 0
-        if not tables.ok[p]:
-            de[p::p] *= p
     e = np.where(tables.ok[primes], 1, primes)  # e(p)
-    for n, sl in _cofactor_multiples(B, primes):
-        mu[n] *= -1
-        de[n] *= e[sl]
+    for at, i, k in arith.prime_power_multiples(B, primes):
+        if k == 1:
+            mu[at] *= -1
+            de[at] *= e[i]
+        elif k == 2:
+            mu[at] = 0
     totals = []
     for Bi in grid:
         ds = np.flatnonzero(mu[1:Bi + 1]) + 1
-        v, plus = Bi // de[ds], mu[ds] > 0  # v = 0 adds Q(G(0)) = 0
-        M = np.bincount(v[plus], minlength=Bi + 1) - np.bincount(v[~plus], minlength=Bi + 1)
-        vs = np.flatnonzero(M)
-        G = np.zeros((C + 1, len(vs)), dtype=np.int64)  # row C stays 0
-        for c in range(C):
-            G[c] = np.searchsorted(local[c], vs, side="right")
-        totals.append(int(M[vs] @ (G * (G + G[partner])).sum(axis=0)))
+        # M by the slot of each floor value B_i // (d * e(d)); 0 past B_i
+        v, plus = np.searchsorted(floors, Bi // de[ds]), mu[ds] > 0
+        M = np.bincount(v[plus], minlength=len(Q)) - np.bincount(v[~plus], minlength=len(Q))
+        totals.append(int(M @ Q))
     return totals
 
 

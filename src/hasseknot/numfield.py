@@ -292,6 +292,14 @@ def splitting_data(K: NumberField, p: int) -> SplittingData:
     return SplittingData(p, pairs, reliable=reliable)
 
 
+def _certified(K: NumberField, p: int) -> SplittingData:
+    """splitting_data(K, p); UnsupportedPrimeError if it is not certified."""
+    sd = splitting_data(K, p)
+    if not sd.reliable:
+        raise UnsupportedPrimeError(p)
+    return sd
+
+
 def is_ideal_norm(K: NumberField, t: Fraction | int) -> bool:
     """Whether a positive rational is the norm of a fractional ideal of K:
     for every prime p, gcd of the residue degrees above p divides ord_p(t).
@@ -300,19 +308,14 @@ def is_ideal_norm(K: NumberField, t: Fraction | int) -> bool:
     if t <= 0:
         raise DomainError("ideal norms are positive; t must be > 0")
     for p, e in arith.factorize(t).factors:
-        sd = splitting_data(K, p)
-        if not sd.reliable:
-            raise UnsupportedPrimeError(p)
-        if e % sd.residue_gcd() != 0:
+        if e % _certified(K, p).residue_gcd() != 0:
             return False
     return True
 
 
 def in_P_K(K: NumberField, p: int) -> bool:
     """Whether the unramified prime p has residue degrees with gcd 1."""
-    sd = splitting_data(K, p)
-    if not sd.reliable:
-        raise UnsupportedPrimeError(p)
+    sd = _certified(K, p)
     if not sd.unramified:
         raise DomainError(f"p={p} is ramified")
     return sd.residue_gcd() == 1
@@ -349,29 +352,21 @@ def count_ideal_norms(K: NumberField, B: int, levels: int | None = None
                       ) -> list[tuple[int, int]]:
     """Exact counts #{n <= B_i : n in N(I_K)} on the doubling grid B_i = B/2^k.
 
-    A prime sieve: for each prime p <= B with residue gcd g > 1, add 1 at the
-    multiples of p^k for k = 1 mod g and subtract 1 for k = 0 mod g.  Of the
-    k <= v_p(n) the first kind outnumbers the second by one exactly when
-    g does not divide v_p(n), so off[n] counts the primes that keep n from
-    being an ideal norm.  Raises UnsupportedPrimeError at the smallest prime
-    <= B whose splitting data is not certified.
+    A sieve over the prime powers by `arith.prime_power_multiples`: for each
+    prime p <= B with residue gcd g > 1, add 1 at the multiples of p^k for
+    k = 1 mod g and subtract 1 for k = 0 mod g.  Of the k <= v_p(n) the first
+    kind outnumbers the second by one exactly when g does not divide v_p(n),
+    so off[n] counts the primes that keep n from being an ideal norm.  The
+    gcds of all primes <= B are taken first; UnsupportedPrimeError names the
+    smallest prime <= B whose splitting data is not certified.
     """
     grid = doubling_grid(B, levels)
+    primes = np.array(arith.sieve_primes(B), dtype=np.int64)
+    g = np.array([_certified(K, p).residue_gcd() for p in primes.tolist()], dtype=np.int64)
+    primes, g = primes[g > 1], g[g > 1]
     off = np.zeros(B + 1, dtype=np.int8)
-    for p in arith.sieve_primes(B):
-        sd = splitting_data(K, p)
-        if not sd.reliable:
-            raise UnsupportedPrimeError(p)
-        g = sd.residue_gcd()
-        if g == 1:
-            continue
-        q, k = p, 1
-        while q <= B:
-            if k % g == 1:
-                off[q::q] += 1
-            elif k % g == 0:
-                off[q::q] -= 1
-            q *= p
-            k += 1
+    for at, i, k in arith.prime_power_multiples(B, primes):
+        step = k % g[i]
+        off[at] += (step == 1).astype(np.int8) - (step == 0)
     cum = np.cumsum(off[1:] == 0)
     return [(Bi, int(cum[Bi - 1])) for Bi in grid]

@@ -163,6 +163,43 @@ def local_tables_by_prime(F, B: int):
                        np.array(primes, dtype=np.int64))
 
 
+def n_loc_by_class_search(grid: list[int], tables) -> list[int]:
+    """count._n_loc_series by class lists: n_loc(B_i) = sum_v M(v) * Q(G(v))
+    with G(v) read, at each v where M(v) != 0, by one searchsorted per class
+    over the sorted n of that class.  Moebius and d * e(d) come from slices
+    over every prime, so nothing here shares the sqrt B hand-off of
+    arith.prime_power_multiples."""
+    B = grid[-1]
+    profiles, cid = np.unique(tables.profile[:B + 1], return_inverse=True)
+    C = len(profiles)
+    cid = np.where(tables.ok[:B + 1], cid, C)  # class C: fails the local test
+    mates = profiles ^ tables.p_minus
+    j = np.minimum(np.searchsorted(profiles, mates), C - 1)
+    partner = np.append(np.where(profiles[j] == mates, j, C), C)
+    # the n in 1..B of each class, in increasing order; the last part fails
+    local = np.split(np.argsort(cid[1:], kind="stable") + 1,
+                     np.cumsum(np.bincount(cid[1:], minlength=C + 1))[:-1])
+    primes = tables.primes[:np.searchsorted(tables.primes, B, side="right")]
+    mu = np.ones(B + 1, dtype=np.int8)
+    de = np.arange(B + 1, dtype=np.int64)  # d * e(d) at the squarefree d
+    for p in primes.tolist():
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+        if not tables.ok[p]:
+            de[p::p] *= p
+    totals = []
+    for Bi in grid:
+        ds = np.flatnonzero(mu[1:Bi + 1]) + 1
+        v, plus = Bi // de[ds], mu[ds] > 0  # v = 0 adds Q(G(0)) = 0
+        M = np.bincount(v[plus], minlength=Bi + 1) - np.bincount(v[~plus], minlength=Bi + 1)
+        vs = np.flatnonzero(M)
+        G = np.zeros((C + 1, len(vs)), dtype=np.int64)  # row C stays 0
+        for c in range(C):
+            G[c] = np.searchsorted(local[c], vs, side="right")
+        totals.append(int(M[vs] @ (G * (G + G[partner])).sum(axis=0)))
+    return totals
+
+
 def min_cyclic_index_bruteforce(m: int, n: int) -> int:
     """Least index m*n / ord(g) over the elements g of Z/m x Z/n, each order
     found by adding g to itself until it returns to 0."""

@@ -2,6 +2,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hasseknot import arith
@@ -90,6 +91,24 @@ def test_table_factorize_cross_check():
     T = arith.spf_table(720720)
     assert arith.table_factorize(720720, T) == arith.factorize(720720)
     assert arith.table_factorize(1, T).factors == ()
+
+
+def test_prime_power_multiples_cover_each_multiple_once():
+    for B in (1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122, 1000):
+        every = np.array(arith.sieve_primes(B), dtype=np.int64)
+        for primes in (every, every[::3]):
+            want = sorted((p, k, n) for p in primes.tolist()
+                          for k in range(1, B.bit_length() + 1) if p ** k <= B
+                          for n in range(p ** k, B + 1, p ** k))
+            got = []
+            for at, i, k in arith.prime_power_multiples(B, primes):
+                ns = np.arange(B + 1)[at]
+                assert len(ns) and len(set(ns.tolist())) == len(ns), (B, at)
+                ps = np.broadcast_to(primes[i], ns.shape)
+                # slices exactly for the p <= sqrt B, cofactors above
+                assert isinstance(at, slice) == (int(ps[0]) ** 2 <= B), (B, at)
+                got += [(p, k, n) for p, n in zip(ps.tolist(), ns.tolist())]
+            assert sorted(got) == want, (B, len(primes))
 
 
 def test_kronecker_fixture_values():

@@ -267,8 +267,16 @@ _extra = st.lists(st.lists(_gen, min_size=1, max_size=3).map(lambda gs: ["--extr
                   max_size=2).map(lambda parts: sum(parts, []))
 _bicyclic = st.tuples(st.just(["knot-bicyclic"]), _int(-1, 10 ** 6).map(lambda m: ["--m", m]),
                       _int(-1, 10 ** 6).map(lambda n: ["--n", n]), _extra, _fmt)
-# Loose tokens stay away from the subcommands whose defaults run long
-# (count, fit, delta, global without --cap, selftest, ...).
+# The counts whose run time B bounds: no certificate search runs in them.
+_counts = st.tuples(
+    st.sampled_from([["count-integers"], ["count", "--minus-one-generates"],
+                     ["fit", "--which", "loc"]]),
+    _field(10 ** 6), _int(-2, 4096).map(lambda B: ["--bound", B]),
+    st.one_of(st.just([]), _int(-1, 14).map(lambda k: ["--levels", k])), _fmt)
+# Loose tokens stay away from every heavy subcommand: count without
+# --minus-one-generates and fit --which glob run a certificate search per
+# local element, global without --cap searches to cap 10000; delta,
+# ideal-norm and selftest are left out too.  _counts draws the bounded counts.
 _VOCAB = ["knot", "knot-bicyclic", "local", "--a", "--b", "--t", "--m", "--n", "--extra",
           "--format", "json", "csv", "0", "1", "-1", "2", "13", "17", "25", "1/0", "1:0",
           "0:1", "1:", "x", "-h", "--help"]
@@ -276,8 +284,9 @@ _HEAVY = {"global", "ideal-norm", "delta", "count", "count-integers", "fit", "se
 _tokens = st.lists(st.one_of(st.sampled_from(_VOCAB),
                              st.text(max_size=6).filter(lambda tok: tok not in _HEAVY)),
                    max_size=8)
-_argv = st.one_of(st.one_of(_knot, _local, _global, _bicyclic).map(lambda parts: sum(parts, [])),
-                  _tokens)
+_argv = st.one_of(
+    st.one_of(_knot, _local, _global, _bicyclic, _counts).map(lambda parts: sum(parts, [])),
+    _tokens)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=400)

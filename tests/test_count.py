@@ -11,7 +11,7 @@ from hasseknot.count import CountSeries, GlobMode
 from hasseknot.errors import ConfigError, DomainError
 
 from oracles import (height_count_identity, heights_bruteforce, local_tables_by_prime,
-                     naive_local_count)
+                     n_loc_by_class_search, naive_local_count)
 
 F1317 = BiquadField(13, 17)
 F35 = BiquadField(3, 5)
@@ -68,6 +68,14 @@ def test_local_tables_match_per_prime_oracle():
         assert got.p_minus == want.p_minus, (F, B)
         assert got.bit_places == want.bit_places, (F, B)
         assert np.array_equal(got.primes, want.primes), (F, B)
+
+
+def test_n_loc_series_matches_class_search_oracle():
+    # sizes naive_local_count cannot reach; every grid level down to B = 1
+    cases = [(F, B) for F in NINE_FIELDS for B in (1, 2, 3, 100, 2048, 8192)]
+    for F, B in cases + [(WIDE, 200)]:
+        grid, got = count.n_loc_series(F, B)
+        assert got == n_loc_by_class_search(grid, count.local_tables(F, B)), (F, B)
 
 
 def test_local_tables_large_radicands():

@@ -146,20 +146,24 @@ def test_count_ideal_norms_gauss():
 def test_count_ideal_norms_residue_gcds_3_and_4():
     # x^3 - 2: 2 and 3 are totally ramified, g = 3 at the p = 1 mod 3 where 2
     # is not a cube; Q(zeta_5): 5 is totally ramified, g = 4 at p = 2, 3 mod 5
-    for coeffs, overrides, gcds in (((-2, 0, 0, 1), {2: ((3, 1),), 3: ((3, 1),)}, {1, 3}),
-                                    ((1, 1, 1, 1, 1), {5: ((4, 1),)}, {1, 2, 4})):
+    # the extra bounds move a g > 1 prime across the sqrt B hand-off from
+    # slices to cofactors: 7 (g = 3) at 48, 49, 50; 2 and 3 (g = 4) at 8, 9, 10
+    for coeffs, overrides, gcds, bounds in (
+            ((-2, 0, 0, 1), {2: ((3, 1),), 3: ((3, 1),)}, {1, 3}, (48, 49, 50)),
+            ((1, 1, 1, 1, 1), {5: ((4, 1),)}, {1, 2, 4}, (8, 9, 10))):
         K = NumberField(coeffs, overrides=overrides)
         assert {numfield.splitting_data(K, p).residue_gcd()
                 for p in arith.sieve_primes(500)} == gcds
-        for B in (1, 2, 3, 500):
+        for B in (1, 2, 3, 500) + bounds:
             for Bi, c in numfield.count_ideal_norms(K, B):
                 assert c == sum(numfield.is_ideal_norm(K, n) for n in range(1, Bi + 1)), \
                     (coeffs, B, Bi)
 
 
 def test_count_ideal_norms_requires_overrides_at_bad_primes():
-    with pytest.raises(UnsupportedPrimeError):
+    with pytest.raises(UnsupportedPrimeError) as exc:
         numfield.count_ideal_norms(QUARTIC_13_17, 50)
+    assert exc.value.prime == 2  # the smallest of the uncertified 2, 13, 17
     K = NumberField(QUARTIC_13_17.poly,
                     overrides=biquad.override_table_for(biquad.BiquadField(13, 17)))
     rows = dict(numfield.count_ideal_norms(K, 50))
