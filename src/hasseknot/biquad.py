@@ -511,8 +511,6 @@ def splitting_pairs(F: BiquadField, p: int) -> tuple[tuple[int, int], ...]:
     forces e = 2 there; at p = 2 the residue degree is 2 exactly when one of
     the three square classes is the unramified class 5 mod 8.
     """
-    if not arith.is_prime(p):
-        raise DomainError(f"{p} is not prime")
     g = local_type(F, Place(p)).g_v
     classes = (F.a, F.b, F.d3)
     if p != 2:

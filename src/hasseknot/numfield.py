@@ -1,14 +1,18 @@
 """Number fields K/Q given by a monic irreducible integer polynomial.
 
-Prime splitting through the degree pattern of the defining polynomial
-over GF(p) (Dedekind's criterion), the ideal-norm membership test via
-residue-degree gcds, ideal-norm counts on a doubling grid by a sieve over
-the prime powers up to the bound, and an empirical prime census for the
-density of primes whose residue degrees are coprime.
+Irreducibility is proved by degree patterns mod small primes, then by
+Kronecker's divisor search over the factor degrees those leave, refused past
+a fixed number of divisor tuples.  Prime splitting through the degree
+pattern of the defining polynomial over GF(p) (Dedekind's criterion), the
+ideal-norm membership test via residue-degree gcds, ideal-norm counts on a
+doubling grid by a sieve over the prime powers up to the bound, and an
+empirical prime census for the density of primes whose residue degrees are
+coprime.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,25 +78,18 @@ def _divides_exactly(f: list[int], g: list[int]) -> bool:
     """Whether monic integer g divides integer f exactly over Z."""
     rem = f[:]
     dg = len(g) - 1
-    while len(rem) - 1 >= dg and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dg:
-            break
-        c = rem[-1]
-        off = len(rem) - 1 - dg
+    for off in range(len(f) - 1 - dg, -1, -1):
+        c = rem[off + dg]
         for i, gi in enumerate(g):
             rem[off + i] -= c * gi
-        rem.pop()
     return not any(rem)
 
 
-def _factor_degree_candidates(f: list[int]) -> set[int] | None:
-    """Degrees (2..deg/2) a proper monic factor could have, from splitting
-    patterns mod several good primes; None means some prime certified f
-    irreducible outright."""
+def _factor_degree_candidates(f: list[int]) -> set[int]:
+    """Degrees (1..deg/2) a proper monic factor could have, from splitting
+    patterns mod several good primes; empty when they prove f irreducible."""
     n = len(f) - 1
-    candidates = set(range(2, n // 2 + 1))
+    candidates = set(range(1, n // 2 + 1))
     for p in _CERT_PRIMES:
         fb = gfpoly.normalize(f, p)
         if gfpoly.degree(fb) != n:
@@ -102,7 +99,7 @@ def _factor_degree_candidates(f: list[int]) -> set[int] | None:
             continue  # not squarefree mod p: pattern unusable
         degs = [d for _, d in pattern]
         if degs == [n]:
-            return None
+            return set()
         sums = {0}
         for d in degs:
             sums |= {s + d for s in sums}
@@ -112,65 +109,63 @@ def _factor_degree_candidates(f: list[int]) -> set[int] | None:
     return candidates
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
+def _signed_divisors(n: int) -> list[int]:
+    divs = [1]
+    for p, e in arith.factorize(n).factors:
+        divs = [dv * p ** k for dv in divs for k in range(e + 1)]
+    return divs + [-dv for dv in divs]
 
 
-def _has_factor_of_degree(f: list[int], d: int) -> bool:
-    """Bounded search for a monic integer factor of degree d; coefficient
-    boxes come from the Mignotte bound, with divisor pruning on g(0), g(1)."""
-    norm = math.isqrt(sum(c * c for c in f)) + 1
-    bounds = [math.comb(d - 1, i) * norm + math.comb(d - 1, i - 1) if i >= 1
-              else norm for i in range(d)]
-    f0, f1 = _poly_eval(f, 0), _poly_eval(f, 1)
-    if f0 == 0:
-        return True  # x divides f
-    const_candidates = [c for dv in _divisors(f0) for c in (dv, -dv)
-                        if abs(c) <= bounds[0]]
+def _interpolate(xs: list[int], ys: list[int]) -> list[int] | None:
+    """Coefficients of the polynomial of degree < len(xs) through (xs, ys),
+    or None unless they are integers: at integer nodes that holds exactly
+    when every Newton divided difference is an integer."""
+    c = list(ys)
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            c[i], r = divmod(c[i] - c[i - 1], xs[i] - xs[i - k])
+            if r:
+                return None
+    h = [c[-1]]
+    for i in range(len(xs) - 2, -1, -1):  # h = h * (x - xs[i]) + c[i]
+        h = [s - xs[i] * t for s, t in zip([0] + h, h + [0])]
+        h[0] += c[i]
+    return h
 
-    def rec(coeffs_partial: list[int], idx: int):
-        if idx == d:
-            g = coeffs_partial + [1]
-            if f1 != 0 and _poly_eval(g, 1) != 0 and f1 % _poly_eval(g, 1) != 0:
-                return False
-            return _divides_exactly(f, g)
-        for c in (const_candidates if idx == 0 else
-                  range(-bounds[idx], bounds[idx] + 1)):
-            if rec(coeffs_partial + [c], idx + 1):
-                return True
-        return False
 
-    return rec([], 0)
+# Divisor tuples the Kronecker search may try for one factor degree.
+_KRONECKER_BUDGET = 1 << 16
 
 
 def _check_irreducible(f: list[int]) -> None:
-    """Raise DomainError unless monic f of degree >= 2 is irreducible over Q.
+    """Raise DomainError unless monic f of degree n >= 2 is irreducible over Q.
 
-    Strategy: integer-root exclusion, then a mod-p certificate / splitting
-    pattern filter, then a Mignotte-bounded search over the few surviving
-    factor degrees.  Intended for small desk-scale polynomials.
+    Splitting patterns mod small primes certify most f irreducible and limit
+    the factor degrees d left to try.  Those go to Kronecker's divisor search:
+    a monic integer factor g of degree d has g(x) | f(x) at every integer x,
+    and g - x^d is fixed by its values at d points.  The d probes in
+    -n-2..n+2 with the least |f(x)| give prod 2*tau(f(x)) divisor tuples to
+    interpolate; f is refused when that exceeds _KRONECKER_BUDGET.
     """
     n = len(f) - 1
     if f[0] == 0:
         raise DomainError("polynomial is divisible by x")
-    # monic => any rational root is an integer dividing the constant term
-    for dv in _divisors(f[0]):
-        for r in (dv, -dv):
-            if _poly_eval(f, r) == 0:
-                raise DomainError(f"polynomial has rational root {r}")
+    xs = sorted(range(-n - 2, n + 3), key=lambda x: abs(_poly_eval(f, x)))
+    if _poly_eval(f, xs[0]) == 0:
+        raise DomainError(f"polynomial has rational root {xs[0]}")
     candidates = _factor_degree_candidates(f)
-    if candidates is None:
+    if not candidates:
         return
+    divs = [_signed_divisors(_poly_eval(f, x)) for x in xs[:max(candidates)]]
     for d in sorted(candidates):
-        if _has_factor_of_degree(f, d):
-            raise DomainError(f"polynomial has a degree-{d} factor over Z")
+        if math.prod(len(dv) for dv in divs[:d]) > _KRONECKER_BUDGET:
+            raise DomainError(f"no irreducibility proof within {_KRONECKER_BUDGET} "
+                              f"divisor tuples for a degree-{d} factor")
+        for values in itertools.product(*divs[:d]):
+            h = _interpolate(xs[:d], [v - x ** d for v, x in zip(values, xs)])
+            if h is not None and _divides_exactly(f, h + [1]):
+                raise DomainError(f"polynomial has rational root {-h[0]}" if d == 1
+                                  else f"polynomial has a degree-{d} factor over Z")
 
 
 class NumberField:

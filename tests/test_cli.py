@@ -136,6 +136,18 @@ def test_delta(capsys):
     assert 0.4 < payload["estimate"] < 0.6
 
 
+def test_number_fields_with_large_coefficients(capsys):
+    # Q(sqrt 1000003, sqrt 1000033) leaves a degree-2 factor search; x^2 + 10^30 + 1
+    # has a 31-digit constant term
+    status, out, _ = run(capsys, "delta", "--poly", "900,0,-4000072,0,1", "--limit", "1000")
+    assert status == 0
+    assert out.splitlines()[0] == "delta estimate: 48/165 = 0.290909"
+    status, out, _ = run(capsys, "ideal-norm", "--poly", "1000000000000000000000000000001,0,1",
+                         "--t", "2")
+    assert status == 0
+    assert out.splitlines()[0] == "ideal norm: yes"
+
+
 def test_count_csv_and_json(capsys):
     status, out, _ = run(capsys, "count", "--a", "13", "--b", "17", "--bound", "64",
                          "--minus-one-generates", "--format", "csv")
@@ -273,10 +285,19 @@ _counts = st.tuples(
                      ["fit", "--which", "loc"]]),
     _field(10 ** 6), _int(-2, 4096).map(lambda B: ["--bound", B]),
     st.one_of(st.just([]), _int(-1, 14).map(lambda k: ["--levels", k])), _fmt)
+# Number fields: the irreducibility search is bounded by its tuple budget,
+# and delta by --limit.
+_poly = st.tuples(st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=1, max_size=6),
+                  st.one_of(st.just(1), st.integers(-2, 2))).map(
+    lambda cs: ["--poly", ",".join(map(str, cs[0] + [cs[1]]))])
+_numfields = st.one_of(
+    st.tuples(st.just(["ideal-norm"]), _poly, _rational(10 ** 6).map(lambda t: ["--t", t]), _fmt),
+    st.tuples(st.just(["delta"]), _poly, _int(90, 300).map(lambda x: ["--limit", x]), _fmt))
 # Loose tokens stay away from every heavy subcommand: count without
 # --minus-one-generates and fit --which glob run a certificate search per
-# local element, global without --cap searches to cap 10000; delta,
-# ideal-norm and selftest are left out too.  _counts draws the bounded counts.
+# local element, global without --cap searches to cap 10000, delta runs to
+# its --limit; selftest is left out too.  _counts and _numfields draw the
+# bounded runs.
 _VOCAB = ["knot", "knot-bicyclic", "local", "--a", "--b", "--t", "--m", "--n", "--extra",
           "--format", "json", "csv", "0", "1", "-1", "2", "13", "17", "25", "1/0", "1:0",
           "0:1", "1:", "x", "-h", "--help"]
@@ -285,7 +306,8 @@ _tokens = st.lists(st.one_of(st.sampled_from(_VOCAB),
                              st.text(max_size=6).filter(lambda tok: tok not in _HEAVY)),
                    max_size=8)
 _argv = st.one_of(
-    st.one_of(_knot, _local, _global, _bicyclic, _counts).map(lambda parts: sum(parts, [])),
+    st.one_of(_knot, _local, _global, _bicyclic, _counts, _numfields).map(
+        lambda parts: sum(parts, [])),
     _tokens)
 
 

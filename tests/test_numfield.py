@@ -50,8 +50,48 @@ def test_construction_rejects_bad_inputs():
 
 def test_construction_accepts_irreducibles():
     for coeffs in [(1, 0, 1), (-1, -1, 0, 1), (16, 0, -60, 0, 1), (1, 0, 0, 0, 1),
-                   (2, 0, 0, 1), (7, -3, 0, 0, 0, 1)]:
+                   (2, 0, 0, 1), (7, -3, 0, 0, 0, 1), (900, 0, -4000072, 0, 1),
+                   (10 ** 30 + 1, 0, 1)]:
         NumberField(coeffs)
+    assert biquad.defining_quartic(biquad.BiquadField(1000003, 1000033)).degree == 4
+
+
+def _poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def test_construction_matches_sympy_irreducibility():
+    # every third polynomial is a product of monic factors of degree 1-3, so
+    # sextics with two cubic factors occur
+    rng = random.Random(21)
+    x = sympy.symbols("x")
+    for k in range(600):
+        n = rng.randint(2, 6)
+        if k % 3:
+            f = [rng.randint(-100, 100) for _ in range(n)] + [1]
+        else:
+            f = [1]
+            while len(f) <= n:
+                d = min(rng.randint(1, 3), n + 1 - len(f))
+                f = _poly_mul(f, [rng.randint(-20, 20) for _ in range(d)] + [1])
+        try:
+            NumberField(f)
+            accepted = True
+        except DomainError:
+            accepted = False
+        assert accepted == sympy.Poly(f[::-1], x).is_irreducible, f
+
+
+def test_construction_refused_past_the_tuple_budget():
+    # x^4 + 720720^2 is irreducible and reducible mod every prime; its probes
+    # 720720^2 and 720720^2 + 1 leave 7290 * 16 divisor tuples for degree 2
+    with pytest.raises(DomainError) as exc:
+        NumberField((720720 ** 2, 0, 0, 0, 1))
+    assert "divisor tuples" in str(exc.value) and "\n" not in str(exc.value)
 
 
 def test_splitting_fixtures_gauss():
