@@ -70,6 +70,16 @@ def prime_power_multiples(B: int, primes: np.ndarray):
         yield c * primes[lo:hi], slice(lo, hi), 1
 
 
+def residues(q: int, moduli: np.ndarray) -> np.ndarray:
+    """q mod m at every m of the int64 array `moduli`, all in 1..2^31 - 1,
+    for an int q of any size and sign.  |q| is reduced 32 bits at a time,
+    so every intermediate stays below 2^63."""
+    r = np.zeros_like(moduli)
+    for shift in range(abs(q).bit_length() // 32 * 32, -1, -32):
+        r = ((r << 32) | ((abs(q) >> shift) & 0xFFFFFFFF)) % moduli
+    return -r % moduli if q < 0 else r
+
+
 def is_prime(n: int) -> bool:
     """Primality by trial division by the twelve witness primes, which
     decides every n < 41^2; then Miller-Rabin on the witness set, which is
@@ -190,9 +200,30 @@ def _pollard_rho(n: int) -> int:
     raise DomainError(f"no factor of {n} found by Pollard rho")  # pragma: no cover
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method on ints."""
+    if k == 2:
+        return math.isqrt(n)
+    r = 1 << -(-n.bit_length() // k)  # at least the root
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _perfect_power(n: int) -> tuple[int, int]:
+    """(r, k) with n = r^k and k as large as possible, for n >= 2."""
+    for k in range(n.bit_length() - 1, 1, -1):  # r >= 2 needs 2^k <= n
+        r = _iroot(n, k)
+        if r ** k == n:
+            return r, k
+    return n, 1
+
+
 def _factor_positive(n: int) -> dict[int, int]:
-    """Exponent map of n >= 1; trial division, then is_prime + Pollard rho
-    on a leftover that outlasts the trial primes."""
+    """Exponent map of n >= 1; trial division, then is_prime, an exact
+    k-th root and Pollard rho on a leftover that outlasts the trial primes."""
     out: dict[int, int] = {}
     for p in _trial_primes():
         if p * p > n:  # no factor below p is left, so n is 1 or a prime
@@ -209,6 +240,10 @@ def _factor_positive(n: int) -> dict[int, int]:
         m = stack.pop()
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
+            continue
+        r, k = _perfect_power(m)
+        if k > 1:
+            stack.extend([r] * k)
             continue
         d = _pollard_rho(m)
         stack.append(d)

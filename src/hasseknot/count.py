@@ -120,11 +120,8 @@ def _legendre(q: int, primes: np.ndarray) -> np.ndarray:
     `primes`, all below 2^31.
 
     By reciprocity (p|q) is (q|p), negated when p = q = 3 mod 4, and (q|p)
-    is Euler's criterion on q mod p.  q is reduced 32 bits at a time, so
-    every intermediate stays below 2^63 however large q is."""
-    r = np.zeros_like(primes)
-    for shift in range(q.bit_length() // 32 * 32, -1, -32):
-        r = ((r << 32) | ((q >> shift) & 0xFFFFFFFF)) % primes
+    is Euler's criterion on q mod p, exact in int64 however large q is."""
+    r = arith.residues(q, primes)
     e, s = primes >> 1, np.ones_like(primes)  # s = r^((p - 1) / 2) mod p at the end
     while e.any():
         s = np.where(e & 1, s * r % primes, s)

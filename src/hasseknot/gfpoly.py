@@ -6,10 +6,14 @@ decomposition, then distinct-degree splitting, and returns blocks: products
 of the irreducible factors of one degree and one multiplicity.
 
 `degree_pattern` reads the (multiplicity, degree) pattern off those blocks
-alone; this is all that prime splitting and the prime census need.
-`factor` adds randomized equal-degree (Cantor-Zassenhaus) splitting of each
-block into its irreducible factors.  That stage draws from a generator
-seeded deterministically from (p, f), so repeated runs factor identically.
+alone; this is all that prime splitting needs.  `factor` adds randomized
+equal-degree (Cantor-Zassenhaus) splitting of each block into its
+irreducible factors.  That stage draws from a generator seeded
+deterministically from (p, f), so repeated runs factor identically.
+
+`degree_patterns` gives the factor degrees of a squarefree reduction at many
+primes at once, in numpy int64, from the Frobenius (Berlekamp) matrix; the
+prime census and the ideal-norm counts run on it.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ from __future__ import annotations
 import random
 from math import gcd
 
+import numpy as np
+
+from . import arith
 from .errors import DomainError
 
 
@@ -257,3 +264,110 @@ def factor(coeffs, p: int) -> list[tuple[list[int], int]]:
            for irred in equal_degree(prod, d, p, rng)]
     out.sort(key=lambda t: (degree(t[0]), t[0][::-1]))
     return out
+
+
+# The batched kernel holds residues mod p < 2^31 in int64 and reduces every
+# product of two residues (< 2^62) mod p before it is summed.
+_BATCH_PRIME_LIMIT = 1 << 31
+
+
+def _mul_rows(a: np.ndarray, b: np.ndarray, xn: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Row-wise a*b mod (f, p) for residues a, b of shape (P, n); xn[:, j]
+    holds x^(n+j) mod (f, p) for j < n - 1 and p has shape (P, 1)."""
+    n = a.shape[1]
+    prod = np.zeros((a.shape[0], 2 * n - 1), dtype=np.int64)
+    for i in range(n):
+        prod[:, i:i + n] += a[:, i:i + 1] * b % p
+    prod %= p
+    high = prod[:, n:, None] * xn % p[:, :, None]
+    return (prod[:, :n] + high.sum(axis=1)) % p
+
+
+def _times_x(a: np.ndarray, x_n: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Row-wise x*a mod (f, p), where x_n holds x^n mod (f, p)."""
+    shifted = np.zeros_like(a)
+    shifted[:, 1:] = a[:, :-1]
+    return (shifted + a[:, -1:] * x_n % p) % p
+
+
+def _matmul_rows(A: np.ndarray, B: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """A @ B mod p for stacks of n x n matrices, p of shape (P, 1, 1)."""
+    out = np.zeros_like(A)
+    for j in range(A.shape[2]):
+        out += A[:, :, j, None] * B[:, None, j, :] % p
+    return out % p
+
+
+def _rank_rows(M: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Rank mod p of each matrix of the stack M, p of shape (P, 1, 1), by
+    fraction-free elimination: row_i <- pivot * row_i - M[i, c] * pivot_row
+    clears column c everywhere, the pivot row included, so no inverse is
+    needed and each pivot found adds one to the rank."""
+    rows = np.arange(len(M))
+    rank = np.zeros(len(M), dtype=np.int64)
+    for c in range(M.shape[2]):
+        col = M[:, :, c]
+        nonzero = col != 0
+        found = nonzero.any(axis=1)
+        r = nonzero.argmax(axis=1)
+        pivot = np.where(found, col[rows, r], 1)  # 1 leaves a zero column as it is
+        M = (pivot[:, None, None] * M % p - col[:, :, None] * M[rows, r][:, None, :] % p) % p
+        rank += found
+    return rank
+
+
+def degree_patterns(coeffs, primes: np.ndarray) -> np.ndarray:
+    """Degree counts of the irreducible factors of monic integer f mod every
+    prime of the int64 array `primes`: out[i, d - 1] is the number of degree-d
+    factors mod primes[i].  Every prime must be below 2^31, and f must be
+    squarefree mod it (p not dividing the discriminant of f).
+
+    x^p mod (f, p) comes from square-and-multiply over all primes at once.
+    The Frobenius matrix Q has the columns (x^p)^i mod f, and F_p[x]/f is the
+    product of the fields F_(p^d) over the factor degrees d, where Q^k fixes
+    the subfield F_(p^gcd(k, d)).  So dim ker(Q^k - I) = sum_d c_d gcd(k, d)
+    for k = 1..n, with c_d the count of degree-d factors.  The matrix
+    (gcd(k, d)) is invertible (Smith: its determinant is prod phi(k)):
+    gcd(k, d) is the sum of phi(e) over the common divisors e of k and d, so
+    peeling off the divisors of k, then the multiples of d, recovers c."""
+    f = [int(c) for c in coeffs]
+    n = len(f) - 1
+    if n < 1 or f[-1] != 1:
+        raise DomainError("degree_patterns needs a monic polynomial of degree >= 1")
+    primes = np.asarray(primes, dtype=np.int64)
+    if primes.size and (primes.min() < 2 or primes.max() >= _BATCH_PRIME_LIMIT):
+        raise DomainError(f"degree_patterns needs primes in 2..{_BATCH_PRIME_LIMIT - 1}")
+    p = primes[:, None]
+    x_n = np.stack([arith.residues(-c, primes) for c in f[:-1]], axis=1)
+    powers = [x_n]  # x^n, ..., x^(2n-2) mod (f, p)
+    for _ in range(n - 2):
+        powers.append(_times_x(powers[-1], x_n, p))
+    xn = np.stack(powers, axis=1)[:, :n - 1]
+    xp = np.zeros((len(primes), n), dtype=np.int64)  # x^p by binary powering
+    xp[:, 0] = 1
+    for bit in range(int(primes.max(initial=0)).bit_length() - 1, -1, -1):
+        xp = _mul_rows(xp, xp, xn, p)
+        xp = np.where((primes >> bit & 1)[:, None] == 1, _times_x(xp, x_n, p), xp)
+    Q = np.zeros((len(primes), n, n), dtype=np.int64)
+    Q[:, 0, 0] = 1
+    for i in range(1, n):
+        Q[:, :, i] = _mul_rows(Q[:, :, i - 1], xp, xn, p)
+    p3 = primes[:, None, None]
+    eye = np.eye(n, dtype=np.int64)
+    dims = np.zeros((len(primes), n + 1), dtype=np.int64)  # dims[:, k], k = 1..n
+    Qk = Q
+    for k in range(1, n + 1):
+        dims[:, k] = n - _rank_rows((Qk - eye) % p3, p3)
+        if k < n:
+            Qk = _matmul_rows(Qk, Q, p3)
+    phi = [0] + [sum(gcd(i, e) == 1 for i in range(1, e + 1)) for e in range(1, n + 1)]
+    counts = dims  # in place: first N_e, the factors whose degree e divides
+    for e in range(1, n + 1):
+        for j in range(1, e):
+            if e % j == 0:
+                counts[:, e] -= phi[j] * counts[:, j]
+        counts[:, e] //= phi[e]
+    for d in range(n, 0, -1):
+        for m in range(2 * d, n + 1, d):
+            counts[:, d] -= counts[:, m]
+    return counts[:, 1:]

@@ -7,7 +7,11 @@ pattern of the defining polynomial over GF(p) (Dedekind's criterion), the
 ideal-norm membership test via residue-degree gcds, ideal-norm counts on a
 doubling grid by a sieve over the prime powers up to the bound, and an
 empirical prime census for the density of primes whose residue degrees are
-coprime.
+coprime.  The census and the ideal-norm counts take the residue gcds of all
+their primes at once: the batched Frobenius kernel `gfpoly.degree_patterns`
+serves every prime that does not divide disc_poly, a block of primes at a
+time, and only the primes dividing disc_poly or carrying an override go
+through `splitting_data` one by one.
 """
 
 from __future__ import annotations
@@ -174,7 +178,8 @@ class NumberField:
     `poly` holds the coefficients constant term first; `disc_poly` is the
     integer discriminant of the polynomial (not of the field).  Optional
     `overrides` supply exact splitting pairs at primes where Dedekind's
-    criterion is not certified; see `parse_override_table`.
+    criterion is not certified; see `parse_override_table`.  A prime that
+    does not divide disc_poly is unramified, so an override there must be.
     """
 
     def __init__(self, coeffs, overrides: dict[int, tuple] | None = None):
@@ -189,11 +194,16 @@ class NumberField:
         self.disc_poly = poly_discriminant(poly)
         self.overrides: dict[int, tuple[tuple[int, int], ...]] = {}
         for p, pairs in (overrides or {}).items():
+            if not arith.is_prime(p):
+                raise DomainError(f"override at p={p}: {p} is not prime")
             pairs = tuple(sorted(tuple(pair) for pair in pairs))
             if sum(e * f for e, f in pairs) != self.degree:
                 raise DomainError(f"override at p={p}: sum e*f != degree")
             if any(e < 1 or f < 1 for e, f in pairs):
                 raise DomainError(f"override at p={p}: e, f must be >= 1")
+            if self.disc_poly % p and any(e > 1 for e, _ in pairs):
+                raise DomainError(f"override at p={p}: p does not divide disc_poly, "
+                                  "so it is unramified")
             self.overrides[int(p)] = pairs
 
     def __repr__(self):
@@ -295,6 +305,31 @@ def _certified(K: NumberField, p: int) -> SplittingData:
     return sd
 
 
+# Primes per call of the batched Frobenius kernel; bounds its memory.
+_BLOCK = 1 << 12
+
+
+def _residue_gcds(K: NumberField, primes: np.ndarray) -> np.ndarray:
+    """Residue gcds of K at the increasing primes of an int64 array.
+
+    The primes that divide disc_poly or carry an override go through
+    splitting_data, in increasing order, so UnsupportedPrimeError names the
+    least uncertified one.  At every other prime the reduction of the
+    defining polynomial is squarefree, so its pattern is certified, and
+    gfpoly.degree_patterns takes the patterns _BLOCK primes at a time."""
+    overridden = [q for q in K.overrides if q < 1 << 63]  # no larger q is in `primes`
+    scalar = (arith.residues(K.disc_poly, primes) == 0) | np.isin(primes, overridden)
+    g = np.zeros(len(primes), dtype=np.int64)
+    g[scalar] = [_certified(K, p).residue_gcd() for p in primes[scalar].tolist()]
+    batched = np.flatnonzero(~scalar)
+    degrees = np.arange(1, K.degree + 1)
+    for lo in range(0, len(batched), _BLOCK):
+        at = batched[lo:lo + _BLOCK]
+        counts = gfpoly.degree_patterns(K.poly, primes[at])
+        g[at] = np.gcd.reduce(np.where(counts > 0, degrees, 0), axis=1)
+    return g
+
+
 def is_ideal_norm(K: NumberField, t: Fraction | int) -> bool:
     """Whether a positive rational is the norm of a fractional ideal of K:
     for every prime p, gcd of the residue degrees above p divides ord_p(t).
@@ -321,13 +356,9 @@ def delta_K_estimate(K: NumberField, X: int) -> tuple[int, int, Fraction]:
     residue degrees have gcd 1.  Returns (hits, total, hits/total)."""
     if X < 100:
         raise DomainError("need X >= 100 for a meaningful census")
-    hits = total = 0
-    for p in arith.sieve_primes(X):
-        if K.disc_poly % p == 0:
-            continue
-        total += 1
-        if in_P_K(K, p):
-            hits += 1
+    primes = np.array(arith.sieve_primes(X), dtype=np.int64)
+    primes = primes[arith.residues(K.disc_poly, primes) != 0]
+    hits, total = int((_residue_gcds(K, primes) == 1).sum()), len(primes)
     return hits, total, Fraction(hits, total)
 
 
@@ -352,12 +383,13 @@ def count_ideal_norms(K: NumberField, B: int, levels: int | None = None
     k = 1 mod g and subtract 1 for k = 0 mod g.  Of the k <= v_p(n) the first
     kind outnumbers the second by one exactly when g does not divide v_p(n),
     so off[n] counts the primes that keep n from being an ideal norm.  The
-    gcds of all primes <= B are taken first; UnsupportedPrimeError names the
-    smallest prime <= B whose splitting data is not certified.
+    gcds of all primes <= B are taken first, by `_residue_gcds`;
+    UnsupportedPrimeError names the smallest prime <= B whose splitting data
+    is not certified.
     """
     grid = doubling_grid(B, levels)
     primes = np.array(arith.sieve_primes(B), dtype=np.int64)
-    g = np.array([_certified(K, p).residue_gcd() for p in primes.tolist()], dtype=np.int64)
+    g = _residue_gcds(K, primes)
     primes, g = primes[g > 1], g[g > 1]
     off = np.zeros(B + 1, dtype=np.int8)
     for at, i, k in arith.prime_power_multiples(B, primes):

@@ -64,6 +64,19 @@ def test_factorize_beyond_rho_budget_raises():
     assert time.perf_counter() - t0 < 30
 
 
+def test_factorize_prime_powers_past_rho():
+    # rho alone would walk the 20-digit prime's cycle and give up
+    assert arith.factorize(BIG_P ** 2).factors == ((BIG_P, 2),)
+    assert arith.factorize(BIG_P ** 3).factors == ((BIG_P, 3),)
+    assert arith.factorize(12 * BIG_P ** 6).factors == ((2, 2), (3, 1), (BIG_P, 6))
+
+
+def test_residues_of_any_size():
+    moduli = np.array([1, 2, 3, 97, 2 ** 31 - 1, 2147483629], dtype=np.int64)
+    for q in (0, 1, -1, 10 ** 30 + 1, -(10 ** 30 + 1), 2 ** 64, -2 ** 95 - 5):
+        assert arith.residues(q, moduli).tolist() == [q % m for m in moduli.tolist()], q
+
+
 def test_factorize_roundtrip_random():
     rng = random.Random(7)
     for _ in range(300):

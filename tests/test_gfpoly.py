@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 import sympy
 
-from hasseknot import gfpoly
+from hasseknot import arith, gfpoly
 from hasseknot.errors import DomainError
+from hasseknot.numfield import poly_discriminant
 
 X = sympy.symbols("x")
 
@@ -110,3 +112,51 @@ def test_pow_mod_and_gcd():
     assert h == [0, 1] or gfpoly.degree(h) < 4
     g = gfpoly.gcd_poly([2, 3, 1], [2, 1], 5)  # (x+1)(x+2), (x+2)
     assert g == [2, 1]
+
+
+# The nine census polynomials: x^4 - 60x^2 + 16, x^2 + 1, x^3 - 2, x^5 + 5,
+# x^3 - x - 1, x^3 - x^2 - 2x - 8, x^4 + 1, x^5 - 3x + 7, x^3 + 2; and
+# x^2 + 10^30 + 1, whose constant term is beyond int64.
+CENSUS_POLYS = [(16, 0, -60, 0, 1), (1, 0, 1), (-2, 0, 0, 1), (5, 0, 0, 0, 0, 1),
+                (-1, -1, 0, 1), (-8, -2, -1, 1), (1, 0, 0, 0, 1), (7, -3, 0, 0, 0, 1),
+                (2, 0, 0, 1), (10 ** 30 + 1, 0, 1)]
+# the largest primes the int64 kernel takes
+TOP_PRIMES = [2147483629, 2147483647]
+
+
+def _patterns_as_pairs(coeffs, primes):
+    counts = gfpoly.degree_patterns(coeffs, np.array(primes, dtype=np.int64))
+    return [sorted((1, d + 1) for d, c in enumerate(row) for _ in range(c))
+            for row in counts.tolist()]
+
+
+def test_degree_patterns_match_degree_pattern():
+    for coeffs in CENSUS_POLYS:
+        disc = poly_discriminant(coeffs)
+        primes = [p for p in arith.sieve_primes(30000) + TOP_PRIMES if disc % p]
+        assert len(primes) > 3200
+        got = _patterns_as_pairs(coeffs, primes)
+        for p, pattern in zip(primes, got):
+            assert pattern == gfpoly.degree_pattern(coeffs, p), (coeffs, p)
+
+
+def test_degree_patterns_random_degrees():
+    # degrees 6..9 have more divisors for the gcd inversion to peel off
+    rng = random.Random(606)
+    for _ in range(12):
+        coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(6, 9))] + [1]
+        disc = poly_discriminant(coeffs)
+        primes = [p for p in arith.sieve_primes(1500) + TOP_PRIMES if disc % p]
+        for p, pattern in zip(primes, _patterns_as_pairs(coeffs, primes)):
+            assert pattern == gfpoly.degree_pattern(coeffs, p), (coeffs, p)
+
+
+def test_degree_patterns_domain():
+    assert gfpoly.degree_patterns((1, 0, 1), np.array([], dtype=np.int64)).shape == (0, 2)
+    assert _patterns_as_pairs((3, 1), [2, 5]) == [[(1, 1)], [(1, 1)]]
+    for primes in ([2 ** 31], [5, 2 ** 31 + 11], [1]):
+        with pytest.raises(DomainError):
+            gfpoly.degree_patterns((1, 0, 1), np.array(primes, dtype=np.int64))
+    for coeffs in ((1, 0, 2), (1,)):
+        with pytest.raises(DomainError):
+            gfpoly.degree_patterns(coeffs, np.array([5], dtype=np.int64))

@@ -174,6 +174,41 @@ def test_census_pins_at_2000():
     assert rows[-3:] == [(500, 177), (1000, 330), (2000, 619)]
 
 
+def test_census_blocks_split_mid_range(monkeypatch):
+    K = NumberField(QUARTIC_13_17.poly,
+                    overrides=biquad.override_table_for(biquad.BiquadField(13, 17)))
+    calls = [(F, X) for F in (GAUSS, CUBIC_S3, K) for X in (100, 1000)]
+    want = [(numfield.delta_K_estimate(F, X), numfield.count_ideal_norms(F, X))
+            for F, X in calls]
+    monkeypatch.setattr(numfield, "_BLOCK", 7)
+    assert [(numfield.delta_K_estimate(F, X), numfield.count_ideal_norms(F, X))
+            for F, X in calls] == want
+
+
+def test_census_routes_only_bad_and_overridden_primes_to_splitting_data(monkeypatch):
+    # a false override at 3, which does not divide disc_poly, still wins
+    K = NumberField(GAUSS.poly, overrides={3: ((1, 1), (1, 1))})
+    assert numfield.delta_K_estimate(K, 2000)[:2] == (148, 302)
+    for Bi, c in numfield.count_ideal_norms(K, 200):
+        assert c == sum(numfield.is_ideal_norm(K, n) for n in range(1, Bi + 1)), Bi
+    assert numfield.count_ideal_norms(K, 2000)[-1][1] > 619
+    huge = NumberField(GAUSS.poly, overrides={2 ** 89 - 1: ((1, 1), (1, 1))})
+    assert numfield.delta_K_estimate(huge, 2000)[:2] == (147, 302)
+    with pytest.raises(DomainError, match="unramified"):
+        NumberField(GAUSS.poly, overrides={3: ((2, 1),)})
+    with pytest.raises(DomainError, match="not prime"):
+        NumberField(GAUSS.poly, overrides={0: ((2, 1),)})
+    # the census re-tests no sieved prime; direct callers keep the check
+    seen = []
+    is_prime = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: seen.append(n) or is_prime(n))
+    numfield.delta_K_estimate(QUARTIC_13_17, 2000)
+    numfield.count_ideal_norms(K, 2000)
+    assert seen == [2, 3]
+    with pytest.raises(DomainError, match="not prime"):
+        numfield.splitting_data(GAUSS, 15)
+
+
 def test_count_ideal_norms_gauss():
     rows = numfield.count_ideal_norms(GAUSS, 100)
     assert rows[-1] == (100, 43)
