@@ -18,22 +18,10 @@ import numpy as np
 
 from .errors import DomainError
 
-_TRIAL_LIMIT = 10 ** 6
-
 # Deterministic Miller-Rabin witness set, valid below _MR_LIMIT: the
 # smallest strong pseudoprime to all twelve bases, 1287836182261 * 2575672364521.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3317044064679887385961981
-
-_small_primes: list[int] | None = None
-
-
-def _trial_primes() -> list[int]:
-    """Primes below the trial-division limit, sieved once and cached read-only."""
-    global _small_primes
-    if _small_primes is None:
-        _small_primes = sieve_primes(_TRIAL_LIMIT)
-    return _small_primes
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -46,6 +34,9 @@ def sieve_primes(limit: int) -> list[int]:
         if flags[p]:
             flags[p * p:: p] = b"\x00" * len(range(p * p, limit + 1, p))
     return list(itertools.compress(range(limit + 1), flags))
+
+
+_TRIAL_PRIMES = tuple(sieve_primes(1 << 10))  # trial divisors of _factor_positive
 
 
 def prime_power_multiples(B: int, primes: np.ndarray):
@@ -222,10 +213,11 @@ def _perfect_power(n: int) -> tuple[int, int]:
 
 
 def _factor_positive(n: int) -> dict[int, int]:
-    """Exponent map of n >= 1; trial division, then is_prime, an exact
-    k-th root and Pollard rho on a leftover that outlasts the trial primes."""
+    """Exponent map of n >= 1: trial division by the primes below 2^10, then
+    is_prime, an exact k-th root and Pollard rho on a leftover whose prime
+    factors all exceed 2^10."""
     out: dict[int, int] = {}
-    for p in _trial_primes():
+    for p in _TRIAL_PRIMES:
         if p * p > n:  # no factor below p is left, so n is 1 or a prime
             if n > 1:
                 out[n] = 1
@@ -308,12 +300,10 @@ def factorize(t: Fraction | int) -> Factorization:
     if t == 0:
         raise DomainError("cannot factor 0")
     sign = 1 if t > 0 else -1
-    num = _factor_positive(abs(t.numerator))
-    den = _factor_positive(t.denominator)
-    merged = dict(num)
-    for p, e in den.items():
-        merged[p] = merged.get(p, 0) - e  # coprime num/den, but be safe
-    return Factorization(sign, tuple(sorted((p, e) for p, e in merged.items() if e != 0)))
+    # a reduced Fraction shares no prime between numerator and denominator
+    exps = _factor_positive(abs(t.numerator))
+    exps.update((p, -e) for p, e in _factor_positive(t.denominator).items())
+    return Factorization(sign, tuple(sorted(exps.items())))
 
 
 def spf_table(limit: int) -> np.ndarray:

@@ -242,8 +242,10 @@ def mul_coords(F: BiquadField, x, y) -> tuple[Fraction, Fraction, Fraction, Frac
 # coeff * r^4 <= 2^53 - 1, every product and every partial sum is an integer
 # that float64 holds exactly, in any order of summation and with or without
 # FMA; so a block of the shell is one float64 matrix product
-# [U, -2P, 2aQ, 1] @ [1, R, S, V].  Up to the radius r64 of 2^63 - 1 the same
-# block is three int64 outer products.  Beyond r64 the search is refused.
+# [U, -2P, 2aQ, 1] @ [1, R, S, V].  Up to the radius r64 of 2^63 - 1 the
+# same bound keeps every product and partial sum in int64, in any order, so
+# the block is the same matrix product in int64.  Beyond r64 the search is
+# refused.
 
 _CHUNK = 1 << 22
 
@@ -251,22 +253,19 @@ _CHUNK = 1 << 22
 def _exact_radius(a: int, b: int, bits: int) -> int:
     """The largest r >= 0 with coeff * r^4 <= 2^bits - 1: the last shell
     whose norms, and every partial sum of their four terms, fit in a signed
-    integer of that many bits."""
-    bound = (1 << bits) - 1
+    integer of that many bits.  coeff * r^4 <= 2^bits - 1 exactly when
+    r^4 <= (2^bits - 1) // coeff, so r is the integer fourth root of that."""
     coeff = (1 + abs(b)) ** 2 * ((1 + abs(a)) ** 2 + 4 * abs(a))
-    r = int((bound // coeff) ** 0.25)
-    while (r + 1) ** 4 * coeff <= bound:
-        r += 1
-    while r ** 4 * coeff > bound:
-        r -= 1
-    return r
+    q = ((1 << bits) - 1) // coeff
+    return arith._iroot(q, 4) if q else 0
 
 
 def _scan(F: BiquadField, cap: int, hit):
     """For r = 1..cap, yield (r, points): the (n0, n1, n2, n3, N) on the
     n0, n1, n2 >= 0 part of integer shell r whose norms N the predicate
-    `hit` marks, given the norms of a block as a 2-D array: float64 up to
-    shell r53, int64 beyond it.  With hit None nothing is evaluated.
+    `hit` marks, given the norms of a block as a 2-D array, one matrix
+    product of the block's halves: float64 up to shell r53, int64 beyond
+    it.  With hit None nothing is evaluated.
     DomainError at the first shell past r64, whose norms can overflow int64
     for (a, b)."""
     a, b = F.a, F.b
@@ -300,13 +299,7 @@ def _scan(F: BiquadField, cap: int, hit):
                 step = max(1, _CHUNK // I.size)
                 for s in range(0, J.size, step):
                     Js = J[s:s + step]
-                    M = right[:, Js]
-                    if r <= r53:
-                        N = L @ M
-                    else:
-                        N = np.add.outer(L[:, 0], M[3])
-                        N += np.multiply.outer(L[:, 1], M[1])
-                        N += np.multiply.outer(L[:, 2], M[2])
+                    N = L @ right[:, Js]
                     marked = hit(N)
                     if marked.any():
                         ii, jj = np.nonzero(marked)

@@ -225,11 +225,11 @@ def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
     Every such v is 0 or a floor value B // x, as the grid is B_i = B >> k.
     So G is taken at those O(sqrt B) values once for all levels: one
     bincount of slot(n) * (C + 1) + class(n), slot(n) being the least floor
-    value >= n, then a cumsum over the slots.  Each level counts M by slot."""
-    B = grid[-1]
-    ok = tables.ok[:B + 1]
+    value >= n, then a cumsum over the slots.  Each level counts M by slot.
+    The grid ends at B = tables.bound."""
+    B, ok = tables.bound, tables.ok
     # the classes are the profiles of the local n, sorted among those n alone
-    profiles, local_cid = np.unique(tables.profile[:B + 1][ok], return_inverse=True)
+    profiles, local_cid = np.unique(tables.profile[ok], return_inverse=True)
     C = len(profiles)
     cid = np.full(B + 1, C)  # class C: fails the local test
     cid[ok] = local_cid
@@ -246,11 +246,10 @@ def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
     G[:, C] = 0  # the failing n are in no class
     del cid, cells  # two int64 arrays of B entries, freed before the level loop
     Q = (G * (G + G[:, partner])).sum(axis=1)
-    primes = tables.primes[:np.searchsorted(tables.primes, B, side="right")]
     mu = np.ones(B + 1, dtype=np.int8)
     de = np.arange(B + 1, dtype=np.int64)  # d * e(d) at the squarefree d
-    e = np.where(tables.ok[primes], 1, primes)  # e(p)
-    for at, i, k in arith.prime_power_multiples(B, primes):
+    e = np.where(ok[tables.primes], 1, tables.primes)  # e(p)
+    for at, i, k in arith.prime_power_multiples(B, tables.primes):
         if k == 1:
             mu[at] *= -1
             de[at] *= e[i]

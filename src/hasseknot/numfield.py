@@ -309,6 +309,14 @@ def _certified(K: NumberField, p: int) -> SplittingData:
 _BLOCK = 1 << 12
 
 
+def _check_census_bound(name: str, bound: int) -> None:
+    """DomainError for a bound of 2^31 or more, before the primes up to it
+    are sieved: the batched kernel takes patterns of primes below 2^31."""
+    if bound >= gfpoly._BATCH_PRIME_LIMIT:
+        raise DomainError(f"{name} must be below 2^31: the residue-degree patterns "
+                          f"of the primes up to {name} are taken in int64")
+
+
 def _residue_gcds(K: NumberField, primes: np.ndarray) -> np.ndarray:
     """Residue gcds of K at the increasing primes of an int64 array.
 
@@ -353,9 +361,11 @@ def in_P_K(K: NumberField, p: int) -> bool:
 
 def delta_K_estimate(K: NumberField, X: int) -> tuple[int, int, Fraction]:
     """Empirical density of primes p <= X (p not dividing disc_poly) whose
-    residue degrees have gcd 1.  Returns (hits, total, hits/total)."""
+    residue degrees have gcd 1.  Returns (hits, total, hits/total).
+    DomainError for X < 100 and, before the sieve, for X >= 2^31."""
     if X < 100:
         raise DomainError("need X >= 100 for a meaningful census")
+    _check_census_bound("X", X)
     primes = np.array(arith.sieve_primes(X), dtype=np.int64)
     primes = primes[arith.residues(K.disc_poly, primes) != 0]
     hits, total = int((_residue_gcds(K, primes) == 1).sum()), len(primes)
@@ -385,9 +395,10 @@ def count_ideal_norms(K: NumberField, B: int, levels: int | None = None
     so off[n] counts the primes that keep n from being an ideal norm.  The
     gcds of all primes <= B are taken first, by `_residue_gcds`;
     UnsupportedPrimeError names the smallest prime <= B whose splitting data
-    is not certified.
+    is not certified.  DomainError for B >= 2^31, before the sieve.
     """
     grid = doubling_grid(B, levels)
+    _check_census_bound("B", B)
     primes = np.array(arith.sieve_primes(B), dtype=np.int64)
     g = _residue_gcds(K, primes)
     primes, g = primes[g > 1], g[g > 1]

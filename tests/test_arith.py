@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from hasseknot import arith
 from hasseknot.arith import INFINITE_PLACE, Place
@@ -46,7 +47,8 @@ def test_factorize_tests_primality_only_past_trial_division(monkeypatch):
     # trial division stops at 11 * 11 > 97, which proves 97 prime
     assert arith.factorize(2 * 97).factors == ((2, 1), (97, 1))
     assert calls == []
-    # both primes are past the trial limit, so the leftover needs the test
+    # both primes exceed the trial divisors below 2^10, so the leftover
+    # needs the test
     p, q = 10 ** 6 + 3, 10 ** 6 + 33
     assert arith.factorize(p * q).factors == ((p, 1), (q, 1))
     assert calls and all(is_prime(n) == (n in (p, q)) for n in calls)
@@ -90,6 +92,29 @@ def test_factorize_matches_trial_division():
     for _ in range(100):
         n = rng.randint(2, 10 ** 7)
         assert [pe for pe in arith.factorize(n).factors] == trial_factorize(n)
+
+
+def test_factorize_across_the_trial_bounds():
+    # primes on both sides of the trial divisors' bound 2^10 and of 10^6,
+    # with squares and cubes, and a random prime cofactor; n up to ~10^24
+    pool = [p for x in (1 << 10, 10 ** 6) for p in
+            (sympy.prevprime(sympy.prevprime(x)), sympy.prevprime(x),
+             sympy.nextprime(x), sympy.nextprime(sympy.nextprime(x)))]
+    pool += [2, 3, 37, 41]
+    rng = random.Random(14)
+    for _ in range(200):
+        n = 1
+        for p in rng.sample(pool, rng.randint(1, 4)):
+            if n * p ** 3 <= 10 ** 24:
+                n *= p ** rng.randint(1, 3)
+        if rng.random() < 0.5 and n <= 10 ** 12:
+            n *= sympy.nextprime(rng.randrange(10 ** 12))
+        assert arith.factorize(n).factors == tuple(sorted(sympy.factorint(n).items())), n
+        # as a rational: the denominator's primes get negative exponents
+        t = Fraction(n, 1021 ** 2 * 1031)
+        want = {**sympy.factorint(t.numerator),
+                **{p: -e for p, e in sympy.factorint(t.denominator).items()}}
+        assert arith.factorize(-t).factors == tuple(sorted(want.items())), t
 
 
 def test_spf_table_basics():

@@ -327,3 +327,12 @@ def test_count_bound_beyond_int64_symbols(capsys):
         assert status == 1
         assert out == ""
         assert err.startswith("error:") and "2^31" in err and len(err.splitlines()) == 1, err
+
+
+def test_delta_limit_beyond_the_batched_kernel(capsys):
+    t0 = time.perf_counter()
+    status, out, err = run(capsys, "delta", "--poly", "2,0,1", "--limit", "2147483648")
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error:") and "2^31" in err and len(err.splitlines()) == 1, err
+    assert time.perf_counter() - t0 < 5

@@ -185,6 +185,22 @@ def test_census_blocks_split_mid_range(monkeypatch):
             for F, X in calls] == want
 
 
+def test_census_bound_guard(monkeypatch):
+    class Sieved(Exception):
+        pass
+
+    def sieve(limit):
+        raise Sieved
+
+    # the guard refuses before the sieve, the first allocation of size X or B
+    monkeypatch.setattr(arith, "sieve_primes", sieve)
+    for census in (numfield.delta_K_estimate, numfield.count_ideal_norms):
+        with pytest.raises(DomainError, match=r"below 2\^31"):
+            census(GAUSS, 1 << 31)
+        with pytest.raises(Sieved):
+            census(GAUSS, (1 << 31) - 1)
+
+
 def test_census_routes_only_bad_and_overridden_primes_to_splitting_data(monkeypatch):
     # a false override at 3, which does not divide disc_poly, still wins
     K = NumberField(GAUSS.poly, overrides={3: ((1, 1), (1, 1))})
