@@ -226,28 +226,88 @@ def mul_coords(F: BiquadField, x, y) -> tuple[Fraction, Fraction, Fraction, Frac
 # integers equal to 1; within a shell the order is by (q, -n0, -n1, -n2, -n3)
 # ascending, so positive witnesses precede their negatives.  The quartic norm
 # is invariant under the eight sign patterns eps*(1, s, t, st) (Galois
-# conjugation and -xi), so only the n0, n1, n2 >= 0 cone is evaluated and
-# matches are expanded back to full sign orbits before ordering.  One
-# generator, _scan, evaluates the integer norms shell by shell and yields the
-# points a predicate marks; _least picks the first certificate of a shell.
-# A hit at shell s <= cap does not depend on the cap, so one search to the
-# largest cap returns what escalating caps would.
+# conjugation and -xi), so only the n0, n1, n2 >= 0 cone is searched and
+# matches are expanded back to full sign orbits before ordering.  _least
+# picks the first certificate of a shell.  A hit at shell s <= cap does not
+# depend on the cap, so one search to the largest cap returns what
+# escalating caps would.
 #
-# The integer norm is a rank-2 form over the point halves i = (n0, n1) and
-# j = (n2, n3).  With P = n0^2 + a n1^2, Q = 2 n0 n1, R = b (n2^2 + a n3^2)
-# and S = 2 b n2 n3, N = (P - R)^2 - a (Q - S)^2 = U_i + V_j - 2 P_i R_j +
-# 2a Q_i S_j, where U = P^2 - a Q^2 and V = R^2 - a S^2.  On shell r the sum
-# of the absolute values of those four terms is at most coeff * r^4, with
-# coeff = (1 + |b|)^2 ((1 + |a|)^2 + 4|a|).  Up to the radius r53 where
-# coeff * r^4 <= 2^53 - 1, every product and every partial sum is an integer
-# that float64 holds exactly, in any order of summation and with or without
-# FMA; so a block of the shell is one float64 matrix product
-# [U, -2P, 2aQ, 1] @ [1, R, S, V].  Up to the radius r64 of 2^63 - 1 the
-# same bound keeps every product and partial sum in int64, in any order, so
-# the block is the same matrix product in int64.  Beyond r64 the search is
-# refused.
+# The integer norm is N = A^2 - a B^2 with A = P_i - R_j and B = Q_i - S_j
+# over the point halves i = (n0, n1) and j = (n2, n3), where P = n0^2 + a n1^2,
+# Q = 2 n0 n1, R = b (n2^2 + a n3^2) and S = 2 b n2 n3.  As a rank-2 form,
+# N = U_i + V_j - 2 P_i R_j + 2a Q_i S_j with U = P^2 - a Q^2 and
+# V = R^2 - a S^2; on shell r the sum of the absolute values of those four
+# terms, and so |N|, is at most coeff * r^4, with
+# coeff = (1 + |b|)^2 ((1 + |a|)^2 + 4|a|).  Past the radius r64 where
+# coeff * r^4 <= 2^63 - 1 the search is refused.
+#
+# _shell_search finds the cone points whose norm is a target, integer shell by
+# integer shell, in the windows (0, 1], (1, 2], (2, 4], ..., (c/2, cap], with
+# one of two hit-finders per window, whichever _window_hits estimates cheaper.
+# Both find the same points, so the choice changes only the time.
+#
+# - The block scan, _scan, which also serves the negative-norm witness,
+#   evaluates every cone point of a shell, about 8 r^3 of them: a block of
+#   the shell is one matrix product [U, -2P, 2aQ, 1] @ [1, R, S, V].  Up to
+#   the radius r53 where coeff * r^4 <= 2^53 - 1 every product and partial
+#   sum is an integer that float64 holds exactly, in any order of summation
+#   and with or without FMA; up to r64 the same bound keeps them in int64.
+#   A block is compared with a few targets one by one, and with more through
+#   a table of their low 16 bits and one sorted lookup of the candidates.
+# - The conic join works in the box of the window's last shell c, where
+#   |A| <= (1 + |a|)(1 + |b|) c^2 and |B| <= 2 (1 + |b|) c^2 with B even.
+#   _conic lists the integer points of A^2 - a B^2 = T for every target T:
+#   A is the exact integer square root of T + a B^2, taken only for the B
+#   where T + a B^2 is a square mod 5040: none for most targets, all for a
+#   few, about 1/26 on average.  _join then pairs each such (A, B) with the
+#   i-halves where P_i = A mod |b| and Q_i = B mod 2|b|, as R_j = P_i - A
+#   and S_j = Q_i - B need, and finds the j-halves with that (R_j, S_j) by
+#   a sorted-key lookup.  So up to targets * (1 + |b|) c^2 square roots, a
+#   fixed cost per target, and few pairs.
+#
+# The join wins by orders of magnitude when the targets are few and |b| is
+# small, as in the -1 hypothesis search on Q(sqrt 13, sqrt 17); the scan
+# wins in small windows and where targets * (1 + |b|) is large next to c^2.
+# Because the share of square roots ranges from 0 to 1 by target, the
+# estimate takes it per target, by the CRT over the prime powers of 5040.
 
 _CHUNK = 1 << 22
+# The cost model of _window_hits counts scanned points.  Timed over 269
+# search windows on a 2-core x86 box with one BLAS thread, a scanned point
+# costs 7.6 ns (the median over the windows of 10^5 points or more); by least
+# squares, a square root of _conic 23 ns, the fixed work of a target in
+# _conic 38 us and a congruent pair of _join 165 ns.  So a square root costs
+# _JOIN_COST scanned points, a target _TARGET_ROOTS square roots and a pair
+# _PAIR_ROOTS square roots.
+_JOIN_COST = 3.0
+_TARGET_ROOTS = 1600
+_PAIR_ROOTS = 7
+_ISQRT_MAX = math.isqrt((1 << 63) - 1)
+# T + a B^2 must be a square mod _SIEVE = 2^4 3^2 5 7 for A to exist; about
+# 1/26 of the B pass on average.  _SIEVE_SQUARES[x]: x is a square mod _SIEVE,
+# 0 <= x < 2 _SIEVE.
+_SIEVE_MODULI = (16, 9, 5, 7)
+_SIEVE = math.prod(_SIEVE_MODULI)
+_SIEVE_SQUARES = np.tile(np.isin(np.arange(_SIEVE), np.arange(_SIEVE) ** 2 % _SIEVE), 2)
+
+
+def _square_shares(m: int) -> np.ndarray:
+    """[u, x]: the share of the rho mod m that make x + u rho^2 a square mod m."""
+    r = np.arange(m)
+    square = np.isin(r, r * r % m)
+    return square[(r[None, :, None] + r[:, None, None] * (r * r)) % m].mean(axis=2)
+
+
+_SIEVE_SHARES = [(m, _square_shares(m)) for m in _SIEVE_MODULI]
+# up to this many targets the block scan compares each block with each one;
+# the low-bits table of _hit costs about as much as six comparisons
+_FEW_TARGETS = 6
+
+
+def _coeff(a: int, b: int) -> int:
+    """The bound coeff with |N| <= coeff * r^4 on shell r, for every partial
+    sum of the rank-2 terms too."""
+    return (1 + abs(b)) ** 2 * ((1 + abs(a)) ** 2 + 4 * abs(a))
 
 
 def _exact_radius(a: int, b: int, bits: int) -> int:
@@ -255,13 +315,21 @@ def _exact_radius(a: int, b: int, bits: int) -> int:
     whose norms, and every partial sum of their four terms, fit in a signed
     integer of that many bits.  coeff * r^4 <= 2^bits - 1 exactly when
     r^4 <= (2^bits - 1) // coeff, so r is the integer fourth root of that."""
-    coeff = (1 + abs(b)) ** 2 * ((1 + abs(a)) ** 2 + 4 * abs(a))
-    q = ((1 << bits) - 1) // coeff
+    q = ((1 << bits) - 1) // _coeff(a, b)
     return arith._iroot(q, 4) if q else 0
 
 
-def _scan(F: BiquadField, cap: int, hit):
-    """For r = 1..cap, yield (r, points): the (n0, n1, n2, n3, N) on the
+def _refusal(a: int, b: int, r64: int) -> DomainError:
+    """The error for shell r64 + 1, the first whose norms can overflow int64."""
+    if r64 < 1:
+        return DomainError(f"(a,b)=({a},{b}) is too large for the exact int64 "
+                           f"search: no shell fits")
+    return DomainError(f"shell {r64 + 1} exceeds the exact int64 range for "
+                       f"(a,b)=({a},{b}); cap must be <= {r64}")
+
+
+def _scan(F: BiquadField, cap: int, hit, start: int = 1):
+    """For r = start..cap, yield (r, points): the (n0, n1, n2, n3, N) on the
     n0, n1, n2 >= 0 part of integer shell r whose norms N the predicate
     `hit` marks, given the norms of a block as a 2-D array, one matrix
     product of the block's halves: float64 up to shell r53, int64 beyond
@@ -270,21 +338,14 @@ def _scan(F: BiquadField, cap: int, hit):
     for (a, b)."""
     a, b = F.a, F.b
     r53, r64 = _exact_radius(a, b, 53), _exact_radius(a, b, 63)
-    for r in range(1, cap + 1):
+    for r in range(start, cap + 1):
         if r > r64:
-            if r64 < 1:
-                raise DomainError(f"(a,b)=({a},{b}) is too large for the exact int64 "
-                                  f"search: no shell fits")
-            raise DomainError(
-                f"shell {r} exceeds the exact int64 range for (a,b)=({a},{b}); "
-                f"cap must be <= {r64}")
+            raise _refusal(a, b, r64)
         points = []
         if hit:
             # halves i in [0, r]^2 and j in [0, r] x [-r, r]; shell r is
             # (max i = r) x (all j) and (max i < r) x (max j = r)
-            k = np.arange(r + 1, dtype=np.int64)
-            n0, n1 = np.repeat(k, r + 1), np.tile(k, r + 1)
-            n2, n3 = np.repeat(k, 2 * r + 1), np.tile(np.arange(-r, r + 1, dtype=np.int64), r + 1)
+            n0, n1, n2, n3 = _halves(r)
             P, Q = n0 * n0 + a * n1 * n1, 2 * n0 * n1
             R, S = b * (n2 * n2 + a * n3 * n3), 2 * b * n2 * n3
             left = np.stack([P * P - a * Q * Q, -2 * P, 2 * a * Q, np.ones_like(P)], axis=1)
@@ -337,39 +398,267 @@ def _least(F: BiquadField, hits) -> tuple[str | None, NormCertificate] | None:
     return label, NormCertificate(F, coords, norm_form_eval(F, coords))
 
 
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """Exact floor square roots of an int64 array of values in [0, 2^63 - 1].
+
+    Let k = isqrt(x) <= _ISQRT_MAX = isqrt(2^63 - 1) < 2^32.  Rounding to
+    float64 is monotone and correctly rounded, so the float root y of x lies
+    between the float roots of k^2 and of (k + 1)^2 - 1.  The rounded k^2 is
+    at least k^2 (1 - 2^-53), so its root is at least k - k 2^-54 (1 + 2^-53),
+    nearer to k than to the float below k, which is at least 2^-53 k (1 + 1/k)
+    away for a k < 2^32 that is not a power of 2 (and k^2 is exact when k is
+    one); so y >= k.  Likewise y <= k + 1.  So s = floor(y), clipped to
+    _ISQRT_MAX >= k, is k or k + 1, s * s <= 2^63 - 1, and one step down
+    where s * s > x gives k."""
+    s = np.minimum(np.sqrt(x.astype(np.float64)).astype(np.int64), _ISQRT_MAX)
+    s -= s * s > x
+    return s
+
+
+def _shell_points(r: int) -> int:
+    """Cone points _scan evaluates on shell r: (max i = r) x (all j) and
+    (max i < r) x (max j = r)."""
+    return (2 * r + 1) ** 2 * (r + 1) + r * r * (4 * r + 1)
+
+
+def _conic_ranges(a: int, b: int, vals: np.ndarray, c: int) -> list[tuple[int, int]]:
+    """For each target T, the range [lo, hi] of the beta = B/2 >= 0 that can
+    give a conic point in the box of shell c, empty when lo > hi.  The box
+    bounds |B| by bmax = 2 (1 + |b|) c^2 and |A| by amax = (1 + |a|)(1 + |b|) c^2,
+    so beta <= bmax / 2 and T + 4a beta^2 = A^2 lies in [0, amax^2]."""
+    amax = (1 + abs(a)) * (1 + abs(b)) * c * c
+    out = []
+    for T in vals.tolist():
+        if a > 0:  # -T <= 4a beta^2 <= amax^2 - T
+            m = -(T // (4 * a))  # ceil(-T / 4a)
+            lo = math.isqrt(m - 1) + 1 if m > 0 else 0
+            top = (amax * amax - T) // (4 * a)
+        else:  # 4|a| beta^2 <= T
+            lo, top = 0, T // (-4 * a)
+        out.append((lo, min((1 + abs(b)) * c * c, math.isqrt(top)) if top >= 0 else -1))
+    return out
+
+
+def _runs(cnt: np.ndarray):
+    """Yield (idx, i) array pairs that list, for each run idx with cnt[idx]
+    entries, the entries i = 0..cnt[idx] - 1: whole runs, about _CHUNK
+    entries at a time."""
+    ends = np.cumsum(cnt)
+    s = 0
+    while s < cnt.size:
+        base = ends[s] - cnt[s]
+        e = max(s + 1, int(np.searchsorted(ends, base + _CHUNK, side="right")))
+        idx = np.repeat(np.arange(s, e), cnt[s:e])
+        yield idx, np.arange(idx.size) + base - (ends[idx] - cnt[idx])
+        s = e
+
+
+def _sieve_share(a: int, vals: np.ndarray) -> np.ndarray:
+    """For each target T, the share of the beta mod _SIEVE for which
+    T + 4a beta^2 is a square mod _SIEVE: by the CRT, the product over the
+    prime powers m of _SIEVE of the share mod m."""
+    share = np.ones(vals.size)
+    for m, shares in _SIEVE_SHARES:
+        share *= shares[4 * a % m, vals % m]
+    return share
+
+
+def _conic(a: int, b: int, vals: np.ndarray, c: int, ranges):
+    """(A, B, k): the integer points of A^2 - a B^2 = vals[k] with B even,
+    |B| <= 2 (1 + |b|) c^2 and |A| <= (1 + |a|)(1 + |b|) c^2, the box that
+    holds (P_i - R_j, Q_i - S_j) for every point of shell <= c.
+
+    Of the beta = B/2 in a target's range, only those where T + 4a beta^2 is
+    a square mod _SIEVE, which depends on beta mod _SIEVE, get a square root.
+    The targets' _SIEVE residues are tested about _CHUNK at a time, and the
+    beta of the passing (target, residue) pairs come about _CHUNK at a time
+    too.  Everything stays in int64 for c <= r64 and |T| <= coeff * c^4:
+    4|a| beta^2 <= |a| bmax^2 = 4|a| (1 + |b|)^2 c^4 <= coeff * c^4 <= 2^63 - 1,
+    and the ranges put T + 4a beta^2 in [0, amax^2] for a > 0 and in [0, T]
+    for a < 0, with amax^2 <= coeff * c^4; _isqrt is exact on [0, 2^63 - 1]."""
+    amax = (1 + abs(a)) * (1 + abs(b)) * c * c
+    lo, hi = (np.array(x, dtype=np.int64) for x in zip(*ranges))
+    rho = np.arange(_SIEVE, dtype=np.int64)
+    step = 4 * a % _SIEVE * (rho * rho % _SIEVE) % _SIEVE
+    group = max(1, _CHUNK // _SIEVE)
+    parts = []
+    for g in range(0, vals.size, group):
+        k, res = np.nonzero(_SIEVE_SQUARES[vals[g:g + group, None] % _SIEVE + step])
+        k += g
+        first = -((res - lo[k]) // _SIEVE)  # the beta are res + _SIEVE * (first + i), i < n
+        n = np.maximum((hi[k] - res) // _SIEVE - first + 1, 0)
+        for p, i in _runs(n):
+            beta = res[p] + _SIEVE * (first[p] + i)
+            X = vals[k[p]] + 4 * a * beta * beta
+            A = _isqrt(X)
+            root = (A * A == X) & (A <= amax)
+            parts.append((A[root], 2 * beta[root], k[p[root]]))
+    A, B, k = (np.concatenate(x) for x in zip(*parts)) if parts else \
+        (np.zeros(0, dtype=np.int64),) * 3
+    # add the sign images with -A, then with -B, each point once
+    pos = A > 0
+    A, B, k = np.concatenate([A, -A[pos]]), np.concatenate([B, B[pos]]), np.concatenate([k, k[pos]])
+    pos = B > 0
+    A, B, k = np.concatenate([A, A[pos]]), np.concatenate([B, -B[pos]]), np.concatenate([k, k[pos]])
+    return A, B, k
+
+
+def _halves(c: int):
+    """The i-halves (n0, n1) in [0, c]^2 and the j-halves (n2, n3) in
+    [0, c] x [-c, c] of the box of shell c, as int64 columns."""
+    k = np.arange(c + 1, dtype=np.int64)
+    n0, n1 = np.repeat(k, c + 1), np.tile(k, c + 1)
+    n2, n3 = np.repeat(k, 2 * c + 1), np.tile(np.arange(-c, c + 1, dtype=np.int64), c + 1)
+    return n0, n1, n2, n3
+
+
+def _join(a: int, b: int, c: int, A: np.ndarray, B: np.ndarray, k: np.ndarray):
+    """(pairs, points): the number of pairs of a conic point (A, B, k) and an
+    i-half with P_i = A mod |b| and Q_i = B mod 2|b|, and an iterator of
+    (n0, n1, n2, n3, k) arrays over the points of the box of shell c with
+    n0, n1, n2 >= 0, P_i - R_j = A and Q_i - S_j = B.  The count needs only
+    the i-halves sorted by residue class; the j-halves are sorted by key
+    when the iterator starts.
+
+    R_j / b = n2^2 + a n3^2 lies in [umin, umax] = [min(a, 0) c^2,
+    (1 + max(a, 0)) c^2] and S_j / 2b = n2 n3 in [-c^2, c^2], so
+    key = (R/b - umin)(2c^2 + 1) + S/2b + c^2 is one-to-one on those pairs.
+    It is at most (1 + |a|) c^2 (2c^2 + 1) + 2c^2 <= 5 (1 + |a|) c^4, and
+    coeff >= (1 + |b|)^2 (1 + |a|)^2 >= 8 (1 + |a|) as |a|, |b| >= 1, so the
+    key is below 5/8 coeff * c^4 < 2^63 for c <= r64; so are P_i - A and
+    Q_i - B, of magnitude at most coeff * c^4.  The congruent pairs come
+    in chunks of about _CHUNK; each goes on to a sorted lookup of its
+    j-half key."""
+    n0, n1, n2, n3 = _halves(c)
+    P, Q = n0 * n0 + a * n1 * n1, 2 * n0 * n1
+    m = abs(b)
+    classes = P % m * (2 * m) + Q % (2 * m)
+    iorder = np.argsort(classes, kind="stable")
+    classes = classes[iorder]
+    want = A % m * (2 * m) + B % (2 * m)
+    first = np.searchsorted(classes, want, side="left")
+    cnt = np.searchsorted(classes, want, side="right") - first
+    umin, umax, width = min(a, 0) * c * c, (1 + max(a, 0)) * c * c, 2 * c * c + 1
+
+    def points():
+        keys = (n2 * n2 + a * n3 * n3 - umin) * width + n2 * n3 + c * c
+        order = np.argsort(keys, kind="stable")
+        keys, m2, m3 = keys[order], n2[order], n3[order]
+        for sol, i in _runs(cnt):
+            ii = iorder[first[sol] + i]
+            u, v = (P[ii] - A[sol]) // b, (Q[ii] - B[sol]) // (2 * b)
+            ok = (u >= umin) & (u <= umax) & (np.abs(v) <= c * c)
+            sol, ii = sol[ok], ii[ok]
+            key = (u[ok] - umin) * width + v[ok] + c * c
+            left = np.searchsorted(keys, key, side="left")
+            for p, j in _runs(np.searchsorted(keys, key, side="right") - left):
+                yield n0[ii[p]], n1[ii[p]], m2[left[p] + j], m3[left[p] + j], k[sol[p]]
+
+    return int(cnt.sum()), points()
+
+
+def _hit(vals: np.ndarray):
+    """The scan's predicate for the sorted int64 targets vals: it marks the
+    entries of a block of norms that are one of them.
+
+    The norms of a float64 block are integers below 2^53 in magnitude: a
+    target below that converts exactly, and one above it rounds to 2^53 or
+    more and matches nothing.  Up to _FEW_TARGETS targets, a block is
+    compared with each; with more, a table of the targets' low 16 bits
+    passes the few candidates to one sorted lookup, about as fast whatever
+    the number of targets."""
+    if vals.size <= _FEW_TARGETS:
+        def hit(N):
+            marked = N == vals[0]
+            for v in vals[1:]:
+                marked |= N == v
+            return marked
+        return hit
+    table = np.zeros(1 << 16, dtype=bool)
+    table[vals & 0xFFFF] = True
+
+    def hit(N):
+        M = N.astype(np.int64, copy=False)
+        marked = table[M & 0xFFFF]
+        c = np.flatnonzero(marked)
+        x = M.ravel()[c]
+        marked.ravel()[c] = vals[np.searchsorted(vals, x).clip(max=vals.size - 1)] == x
+        return marked
+    return hit
+
+
+def _window_hits(F: BiquadField, vals: np.ndarray, lo: int, hi: int):
+    """For r = lo + 1..hi, yield (r, points): the (n0, n1, n2, n3, N) on the
+    n0, n1, n2 >= 0 part of integer shell r whose norm N is one of the
+    sorted int64 targets vals, by the block scan or by the conic join,
+    whichever the cost estimate favours.
+
+    The scan costs the window's cone points.  The join costs _JOIN_COST per
+    square root that _conic is expected to take, by the share of the beta
+    that pass the sieve for each target, and per target _TARGET_ROOTS of
+    them; once the conic points are known, _JOIN_COST * _PAIR_ROOTS per
+    congruent pair of _join.  An estimate at or above the scan's picks the
+    scan.
+    """
+    a, b = F.a, F.b
+    scan = sum(_shell_points(r) for r in range(lo + 1, hi + 1))
+    if vals.size and _JOIN_COST * _TARGET_ROOTS * vals.size < scan:  # else no estimate needed
+        ranges = _conic_ranges(a, b, vals, hi)
+        sizes = np.array([max(0, h - l + 1) for l, h in ranges], dtype=np.float64)
+        roots = float(sizes @ _sieve_share(a, vals)) + _TARGET_ROOTS * vals.size
+        if _JOIN_COST * roots < scan:
+            pairs, joined = _join(a, b, hi, *_conic(a, b, vals, hi, ranges))
+            if _JOIN_COST * _PAIR_ROOTS * pairs < scan:
+                out: dict[int, list] = {}
+                for n0, n1, n2, n3, k in joined:
+                    r = np.maximum(np.maximum(n0, n1), np.maximum(n2, np.abs(n3)))
+                    for i in np.flatnonzero(r > lo):
+                        out.setdefault(int(r[i]), []).append(
+                            (int(n0[i]), int(n1[i]), int(n2[i]), int(n3[i]), int(vals[k[i]])))
+                for r in range(lo + 1, hi + 1):
+                    yield r, out.get(r, [])
+                return
+    yield from _scan(F, hi, _hit(vals) if vals.size else None, lo + 1)
+
+
 def _shell_search(F: BiquadField, targets: dict[str, Fraction], cap: int
                   ) -> tuple[str, NormCertificate] | None:
-    """Scan shells 1..cap for the first coords whose norm equals one of the
+    """Search shells 1..cap for the first coords whose norm equals one of the
     target values; returns (label, certificate) for the earliest match in
-    the deterministic order, or None."""
+    the deterministic order, or None.  The shells run in the windows
+    (0, 1], (1, 2], (2, 4], ... of _window_hits.
+    DomainError past r64, as _scan, when no shell up to r64 holds a match."""
     if cap < 1:
         raise DomainError("cap must be >= 1")
     value_map: dict[int, tuple[str, int]] = {}
     for label, tval in targets.items():
         for q in range(1, cap + 1):
-            v = tval * q ** 4
-            if v.denominator == 1:
-                value_map.setdefault(int(v), (label, q))
+            if q ** 4 % tval.denominator == 0:  # tval * q^4 is an integer
+                value_map.setdefault(tval.numerator * (q ** 4 // tval.denominator), (label, q))
     i64max = (1 << 63) - 1
     tvals = np.array(sorted(v for v in value_map if abs(v) <= i64max), dtype=np.int64)
-    # float64 blocks hold norms below 2^53 in magnitude; so do the targets
-    # that can match them, and those convert to float64 exactly
-    fvals = tvals[np.abs(tvals) < 1 << 53].astype(np.float64)
-    hit = (lambda N: np.isin(N, fvals if N.dtype == np.float64 else tvals)
-           ) if tvals.size else None
+    a, b = F.a, F.b
+    r64 = _exact_radius(a, b, 63)
     # a point of integer shell r with denominator q lies on shell max(r, q)
     pending: dict[int, list] = {}
-    for r, points in _scan(F, cap, hit):
-        for *n, val in points:
-            label, q = value_map[val]
-            shell = max(r, q)
-            if shell <= cap:
-                pending.setdefault(shell, []).append((q, n, label))
-        found = _least(F, pending.pop(r, []))
-        if found is not None:
-            if found[1].value != targets[found[0]]:
-                raise InternalConsistencyError("shell search returned a wrong norm")
-            return found
+    lo, top = 0, min(cap, r64)
+    while lo < top:
+        hi = min(max(1, 2 * lo), top)
+        # |N| <= coeff * hi^4 on the window's shells, so larger targets never match
+        for r, points in _window_hits(F, tvals[np.abs(tvals) <= _coeff(a, b) * hi ** 4], lo, hi):
+            for *n, val in points:
+                label, q = value_map[val]
+                shell = max(r, q)
+                if shell <= cap:
+                    pending.setdefault(shell, []).append((q, n, label))
+            found = _least(F, pending.pop(r, []))
+            if found is not None:
+                if found[1].value != targets[found[0]]:
+                    raise InternalConsistencyError("shell search returned a wrong norm")
+                return found
+        lo = hi
+    if cap > r64:
+        raise _refusal(a, b, r64)
     return None
 
 

@@ -329,7 +329,7 @@ def count_integer_norms_local(F: biquad.BiquadField, B: int,
     grid = doubling_grid(B, levels)
     tables = local_tables(F, B)
     passing = tables.ok[1:B + 1] & (tables.profile[1:B + 1] == 0)
-    cum = np.cumsum(passing.astype(np.int64))
+    cum = np.cumsum(passing, dtype=np.int64)
     return [(Bi, int(cum[Bi - 1])) for Bi in grid]
 
 

@@ -7,6 +7,7 @@ division, the counting series by a fresh per-element recount.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -323,3 +324,41 @@ def scan_by_faces(F, cap: int, hit):
                     points += [(int(v0[i]), int(v1[j]), int(v2[k]), int(v3[l]),
                                 int(N[i, j, k, l])) for i, j, k, l in zip(*np.nonzero(marked))]
         yield r, points
+
+
+def shell_search_by_faces(F, targets: dict, cap: int):
+    """The certificate search driven by scan_by_faces: (label, coords, value)
+    for the first n/q in search order whose norm is one of the targets, or
+    None.
+
+    A value v = t q^4 that is an integer maps to the label of the first
+    target and the least q that give it.  A face hit of integer shell r with
+    that value waits for shell max(r, q).  At each shell the winner is the
+    least (q, -m0, -m1, -m2, -m3) over the eight sign images m of the waiting
+    hits with gcd(m0, m1, m2, m3, q) = 1."""
+    if cap < 1:
+        raise DomainError("cap must be >= 1")
+    value_map = {}
+    for label, t in targets.items():
+        for q in range(1, cap + 1):
+            v = Fraction(t) * q ** 4
+            if v.denominator == 1 and abs(v) < 1 << 63:
+                value_map.setdefault(int(v), (label, q))
+    values = np.array(list(value_map), dtype=np.int64)
+    hit = (lambda N: np.isin(N, values)) if values.size else None
+    pending = {}
+    for r, points in scan_by_faces(F, cap, hit):
+        for *n, v in points:
+            label, q = value_map[v]
+            if max(r, q) <= cap:
+                pending.setdefault(max(r, q), []).append((q, n, label))
+        best = None
+        for q, (n0, n1, n2, n3), label in pending.pop(r, []):
+            for e, s, t in itertools.product((1, -1), repeat=3):
+                m = (e * n0, e * s * n1, e * t * n2, e * s * t * n3)
+                key = (q, *(-x for x in m))
+                if math.gcd(*m, q) == 1 and (best is None or key < best[0]):
+                    best = (key, label, tuple(Fraction(x, q) for x in m))
+        if best is not None:
+            return best[1], best[2], Fraction(targets[best[1]])
+    return None

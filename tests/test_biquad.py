@@ -1,7 +1,10 @@
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hasseknot import arith, biquad, numfield
@@ -9,7 +12,7 @@ from hasseknot.arith import INFINITE_PLACE, Place
 from hasseknot.biquad import BiquadField, SearchConfig
 from hasseknot.errors import ConfigError, DegenerateFieldError, DomainError
 
-from oracles import is_square_mod_p_bruteforce, scan_by_faces
+from oracles import is_square_mod_p_bruteforce, scan_by_faces, shell_search_by_faces
 
 F1317 = BiquadField(13, 17)
 F35 = BiquadField(3, 5)
@@ -211,7 +214,10 @@ SCAN_FIELDS = [(13, 17), (3, 5), (-1, 5), (2, 7), (-3, 13), (6, 10), (5, -7), (3
                (-1, -2), (1009, 1013), (-997, 1013), (4001, -4003), (20011, 20021)]
 
 
-def _search_outcomes(rng):
+def _search_outcomes(rng, search, witness):
+    """Outcomes of search(F, targets, cap), as (label, coords, value) or None,
+    and of witness(F, cap) over SCAN_FIELDS and caps 0..14; a DomainError
+    becomes its message."""
     out = []
     for a, b in SCAN_FIELDS:
         F = BiquadField(a, b)
@@ -221,10 +227,10 @@ def _search_outcomes(rng):
         points = [[rng.randint(-14, 14) for _ in range(4)] for _ in range(2)]
         ts += [biquad.norm_form_eval(F, n) for n in points if any(n)]
         for cap in range(15):
-            calls = [lambda: biquad.negative_norm_witness(F, cap)]
+            calls = [lambda: witness(F, cap)]
             for t in ts:
-                calls += [lambda t=t: biquad.certificate_search(F, t, cap),
-                          lambda t=t: biquad._shell_search(F, {"t": t, "-t": -t}, cap)]
+                calls += [lambda t=t: search(F, {"t": t}, cap),
+                          lambda t=t: search(F, {"t": t, "-t": -t}, cap)]
             for call in calls:
                 try:
                     out.append(call())
@@ -233,12 +239,102 @@ def _search_outcomes(rng):
     return out
 
 
+def _search(F, targets, cap):
+    """The library search as (label, coords, value) or None; a lone target
+    goes through certificate_search."""
+    if list(targets) == ["t"]:
+        cert = biquad.certificate_search(F, targets["t"], cap)
+        return cert and ("t", cert.coords, cert.value)
+    found = biquad._shell_search(F, targets, cap)
+    return found and (found[0], found[1].coords, found[1].value)
+
+
+def _witness(F, cap):
+    cert = biquad.negative_norm_witness(F, cap)
+    return cert and (cert.coords, cert.value)
+
+
+# The hit-finders, forced by the cost of a join step relative to a scanned point.
+FORCED = {"join": 0.0, "scan": float("inf")}
+
+
 def test_scan_equals_the_face_oracle(monkeypatch):
-    # small enough that the blocks of shells 6 and up split into j chunks
+    # The oracle is shell_search_by_faces, and the witness over scan_by_faces
+    # in place of the block scan.  The library must agree with it by its own
+    # choice of hit-finder and with each one forced, with a chunk small
+    # enough that the blocks of shells 6 and up, the conic roots and the
+    # joined pairs all split.
+    with monkeypatch.context() as mp:
+        mp.setattr(biquad, "_scan", scan_by_faces)
+        expected = _search_outcomes(random.Random(10), shell_search_by_faces, _witness)
     monkeypatch.setattr(biquad, "_CHUNK", 1000)
-    got = _search_outcomes(random.Random(10))
-    monkeypatch.setattr(biquad, "_scan", scan_by_faces)
-    assert got == _search_outcomes(random.Random(10))
+    for finder in ("default", *FORCED):
+        if finder in FORCED:
+            monkeypatch.setattr(biquad, "_JOIN_COST", FORCED[finder])
+        assert _search_outcomes(random.Random(10), _search, _witness) == expected, finder
+
+
+# The 16 everywhere-local queries of the decide-stream benchmark, on Q(sqrt 13,
+# sqrt 17) with the -1 hypothesis and on Q(sqrt 3, sqrt 5) with the trivial
+# knot group; 9/68 and 13/68 exhaust the cap.
+STREAM_SEARCHES = [((13, 17), t) for t in (
+    "-68/9", "9/68", "-1/64", "53/100", "25/36", "25", "68/49", "13/68", "-9/43", "49/100",
+    "4/81", "-25/53")] + [((3, 5), t) for t in ("44/71", "-100/71", "-25/71", "-9/11")]
+
+
+@pytest.mark.parametrize("finder", [*FORCED])
+def test_stream_searches_equal_the_face_oracle(monkeypatch, finder):
+    monkeypatch.setattr(biquad, "_JOIN_COST", FORCED[finder])
+    for (a, b), t in STREAM_SEARCHES:
+        F, t = BiquadField(a, b), Fraction(t)
+        targets = {"t": t, "-t": -t} if biquad.knot_order(F) == 2 else {"t": t}
+        assert _search(F, targets, 60) == shell_search_by_faces(F, targets, 60), (a, b, t)
+
+
+def test_isqrt_is_exact_on_int64():
+    top = math.isqrt(2 ** 63 - 1)
+    xs = {0, 1, 2, 3, 2 ** 62, 2 ** 63 - 1, 2 ** 63 - 2, top ** 2}
+    for k in (2, 3, 1000, 2 ** 26 + 1, 2 ** 31 - 1, 3 * 10 ** 9, top - 1, top):
+        xs |= {k * k - 1, k * k, k * k + 1}
+    for d in range(1, 200):
+        xs |= {2 ** 62 - d, 2 ** 62 + d, 2 ** 63 - 1 - d}
+    xs = sorted(x for x in xs if 0 <= x < 2 ** 63)
+    got = biquad._isqrt(np.array(xs, dtype=np.int64))
+    assert got.tolist() == [math.isqrt(x) for x in xs]
+
+
+def test_scan_predicate_on_both_sides_of_the_split():
+    # _hit compares up to _FEW_TARGETS targets one by one and looks up more
+    # in a low-bits table; both must mark exactly the block entries that are
+    # targets, in float64 blocks (where a target past 2^53 matches nothing)
+    # and in int64 blocks
+    rng = np.random.default_rng(0)
+    block = rng.integers(-(1 << 40), 1 << 40, size=(50, 200))
+    for n in (1, 2, biquad._FEW_TARGETS, biquad._FEW_TARGETS + 1, 120):
+        vals = np.unique(rng.choice(block.ravel(), n, replace=False))
+        if n > 2:  # the largest two past the block's range and past 2^53
+            vals[-2:] = (1 << 53) + 1, (1 << 62) + 3
+        for N in (block, block.astype(np.float64)):
+            assert (biquad._hit(vals)(N) == np.isin(block, vals)).all(), (n, N.dtype)
+
+
+@pytest.mark.parametrize("finder", [*FORCED])
+def test_search_at_the_last_int64_shell(monkeypatch, finder):
+    # the norms of largest magnitude on shell r64 run the conic roots and the
+    # block products close to 2^63; one shell more is refused
+    monkeypatch.setattr(biquad, "_JOIN_COST", FORCED[finder])
+    for (a, b), r64 in (((4001, -4003), 13), ((20011, 20021), 2)):
+        F = BiquadField(a, b)
+        corners = [biquad.norm_form_eval(F, n) for n in itertools.product((r64, -r64), repeat=4)]
+        for t in (max(corners), min(corners), max(corners, key=abs) + 1):
+            for targets in ({"t": t}, {"t": t, "-t": -t}):
+                found = _search(F, targets, r64)
+                assert found == shell_search_by_faces(F, targets, r64), (a, b, t)
+                if t in corners:
+                    assert found is not None and found[2] == t
+        assert abs(max(corners, key=abs)) > 2 ** 61
+        with pytest.raises(DomainError, match=f"shell {r64 + 1} exceeds"):
+            biquad.certificate_search(F, 1 << 70, r64 + 1)
 
 
 def test_exact_radius_is_the_last_fitting_shell():
