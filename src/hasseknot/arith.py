@@ -264,6 +264,14 @@ class Place:
 INFINITE_PLACE = Place(None)
 
 
+def proved_place(p: int) -> Place:
+    """The finite place of a p that factorize has already proved prime,
+    made without the primality test of Place.__post_init__."""
+    place = object.__new__(Place)
+    object.__setattr__(place, "p", p)
+    return place
+
+
 @dataclass(frozen=True)
 class Factorization:
     """sign * prod p^e with primes strictly increasing; negative exponents
@@ -296,14 +304,15 @@ class Factorization:
 def factorize(t: Fraction | int) -> Factorization:
     """Exact factorization of a nonzero rational; denominator primes get
     negative exponents."""
-    t = Fraction(t)
-    if t == 0:
+    if not isinstance(t, (int, Fraction)):  # those are in lowest terms already
+        t = Fraction(t)
+    num = t.numerator
+    if num == 0:
         raise DomainError("cannot factor 0")
-    sign = 1 if t > 0 else -1
     # a reduced Fraction shares no prime between numerator and denominator
-    exps = _factor_positive(abs(t.numerator))
+    exps = _factor_positive(abs(num))
     exps.update((p, -e) for p, e in _factor_positive(t.denominator).items())
-    return Factorization(sign, tuple(sorted(exps.items())))
+    return Factorization(1 if num > 0 else -1, tuple(sorted(exps.items())))
 
 
 def spf_table(limit: int) -> np.ndarray:
@@ -412,35 +421,43 @@ def hilbert(a: Fraction | int, b: Fraction | int, v: Place) -> int:
     solution over the completion of Q at v.
 
     The symbol depends only on the square classes of a and b, so a rational
-    argument num / den is reduced to the int num * den first.  Closed forms
-    (Serre, A Course in Arithmetic, ch. III): at the real place, -1 iff
-    a < 0 and b < 0; at odd p via Legendre symbols and valuations; at p = 2
-    via the units-mod-8 formula
-    (-1)^(eps(u)eps(w) + alpha*omega(w) + beta*omega(u)).
+    argument num / den is reduced to the int num * den first, and then to
+    what `symbol_class` keeps of it at v; `symbol` pairs the two classes.
     """
-    a = _square_class(a)
-    b = _square_class(b)
     p = v.p
+    return symbol(symbol_class(_square_class(a), p), symbol_class(_square_class(b), p), p)
+
+
+def symbol_class(x: int, p: int | None) -> tuple[int, int]:
+    """What the Hilbert symbol at p needs of a nonzero int x, as a pair
+    (k, c): (1 if x < 0 else 0, 0) at the real place (p None); for
+    x = p^n * u with u a unit, (n mod 2, (u|p)) at odd p and
+    (n mod 2, u mod 8) at p = 2."""
     if p is None:
-        return -1 if (a < 0 and b < 0) else 1
-    alpha, u = _ord_unit(a, p)
-    beta, w = _ord_unit(b, p)
+        return int(x < 0), 0
+    n, u = _ord_unit(x, p)
+    return n % 2, u % 8 if p == 2 else kronecker(u, p)
+
+
+def symbol(x: tuple[int, int], y: tuple[int, int], p: int | None) -> int:
+    """The Hilbert symbol (x, y)_p from the `symbol_class` pairs (alpha, c)
+    of x and (beta, d) of y, by the closed forms (Serre, A Course in
+    Arithmetic, ch. III).  At the real place, -1 iff x < 0 and y < 0.  At
+    odd p, where c and d are the Legendre symbols of the units,
+    (-1)^(alpha beta eps(p)) c^beta d^alpha.  At p = 2, where c and d are
+    the units mod 8, (-1)^(eps(c)eps(d) + alpha*omega(d) + beta*omega(c)),
+    with eps(z) = (z - 1)/2 and omega(z) = (z^2 - 1)/8 mod 2."""
+    (alpha, c), (beta, d) = x, y
+    if p is None:
+        return -1 if alpha and beta else 1
     if p == 2:
-        un = u % 8
-        wn = w % 8
-        eps_u = (un - 1) // 2 % 2
-        eps_w = (wn - 1) // 2 % 2
-        omega_u = (un * un - 1) // 8 % 2
-        omega_w = (wn * wn - 1) // 8 % 2
-        e = eps_u * eps_w + alpha * omega_w + beta * omega_u
+        e = (c - 1) // 2 * ((d - 1) // 2) + alpha * ((d * d - 1) // 8) + beta * ((c * c - 1) // 8)
         return -1 if e % 2 else 1
-    s = 1
-    if alpha % 2 and beta % 2 and p % 4 == 3:
-        s = -s
-    if beta % 2:
-        s *= kronecker(u, p)
-    if alpha % 2:
-        s *= kronecker(w, p)
+    s = -1 if alpha and beta and p % 4 == 3 else 1
+    if beta:
+        s *= c
+    if alpha:
+        s *= d
     return s
 
 
@@ -463,4 +480,4 @@ def relevant_places(*values: Fraction | int) -> list[Place]:
     for t in values:
         for p in factorize(t).primes:
             ps.add(p)
-    return [INFINITE_PLACE] + [Place(p) for p in sorted(ps)]
+    return [INFINITE_PLACE] + [proved_place(p) for p in sorted(ps)]

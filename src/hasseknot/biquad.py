@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +35,13 @@ class BiquadField:
     the squarefree kernel of a*b, so the three quadratic subfields are
     Q(sqrt a), Q(sqrt b), Q(sqrt d3).  `survey` holds the (place, local
     type) pairs at infinity, then at the primes dividing 2ab in increasing
-    order, computed once.
+    order, computed once.  `survey_symbols` holds, for each of those
+    places, what is_everywhere_local_norm needs there: its p, the
+    `arith.symbol_class` at p of every d whose Hilbert symbol with t decides
+    a local norm (none for a split type, d for Quadratic(d), a and b for the
+    biquadratic type), and the place's failing and passing PlaceVerdicts.
+    `unramified_types` holds the three types away from 2ab: Quadratic(a),
+    Quadratic(b) and split.
     """
 
     def __init__(self, a, b):
@@ -49,12 +56,35 @@ class BiquadField:
         self.d3 = d3
         self.ramified_support = frozenset(
             {2} | set(arith.factorize(a * b).primes))
+        self.unramified_types = (LocalType(QUADRATIC, a), LocalType(QUADRATIC, b),
+                                 LocalType(SPLIT))
         self.survey = tuple(
             (v, local_type(self, v)) for v in
-            [INFINITE_PLACE] + [Place(p) for p in sorted(self.ramified_support)])
+            [INFINITE_PLACE] + [arith.proved_place(p) for p in sorted(self.ramified_support)])
+        self.survey_symbols = tuple(
+            (v.p,
+             tuple(arith.symbol_class(d, v.p)
+                   for d in {SPLIT: (), QUADRATIC: (lt.d,), BIQUADRATIC: (a, b)}[lt.kind]),
+             (PlaceVerdict(v, lt, False), PlaceVerdict(v, lt, True)))
+            for v, lt in self.survey)
 
     def __repr__(self):
         return f"BiquadField({self.a}, {self.b})"
+
+    @cached_property
+    def minus_one_refusal(self) -> str | None:
+        """Why the class of -1 cannot generate the knot group of this field,
+        or None when neither check refutes it: -1 must be everywhere local,
+        and no certificate for -1 may turn up on the shells up to
+        min(MINUS_ONE_CAP, r64).  A field where no shell fits the int64
+        search is not searched.  Computed once per field."""
+        if not is_everywhere_local_norm(self, -1)[0]:
+            return "-1 is not everywhere local"
+        cap = min(MINUS_ONE_CAP, _exact_radius(self.a, self.b, 63))
+        cert = certificate_search(self, -1, cap) if cap >= 1 else None
+        if cert is not None:
+            return f"-1 is a global norm, with certificate ({', '.join(map(str, cert.coords))})"
+        return None
 
     def __eq__(self, other):
         return isinstance(other, BiquadField) and (self.a, self.b) == (other.a, other.b)
@@ -101,18 +131,13 @@ class NormCertificate:
 def local_type(F: BiquadField, v: Place) -> LocalType:
     """Completion type at v from the square classes of a, b, ab.
 
-    Away from 2ab and infinity, a and b are units at p and the type follows
-    from (a|p) and (b|p): split when both are 1, else Quadratic(b) if
-    (a|p) = 1 and Quadratic(a) otherwise.  At the exceptional places the
-    product of the three classes is a square, so the number s of local
-    squares among them is 3, 1 or 0; s = 2 would indicate a broken Hilbert
-    kernel and raises."""
+    Away from 2ab and infinity the type is `_unramified_type`.  At the
+    exceptional places the product of the three classes is a square, so the
+    number s of local squares among them is 3, 1 or 0; s = 2 would indicate
+    a broken Hilbert kernel and raises."""
     p = v.p
     if p is not None and p not in F.ramified_support:
-        ka = arith.kronecker(F.a, p)
-        if ka == 1 and arith.kronecker(F.b, p) == 1:
-            return LocalType(SPLIT)
-        return LocalType(QUADRATIC, F.b if ka == 1 else F.a)
+        return _unramified_type(F, p)
     classes = (F.a, F.b, F.d3)
     squares = [arith.is_square_local(d, v) for d in classes]
     s = sum(squares)
@@ -125,6 +150,16 @@ def local_type(F: BiquadField, v: Place) -> LocalType:
         return LocalType(BIQUADRATIC)
     raise InternalConsistencyError(
         f"exactly two of {classes} are squares at {v}: impossible")
+
+
+def _unramified_type(F: BiquadField, p: int) -> LocalType:
+    """The type at a prime p not dividing 2ab, where a and b are units, from
+    (a|p) and (b|p): split when both are 1, else Quadratic(b) if (a|p) = 1
+    and Quadratic(a) otherwise."""
+    quad_a, quad_b, split = F.unramified_types
+    if arith.kronecker(F.a, p) != 1:
+        return quad_a
+    return split if arith.kronecker(F.b, p) == 1 else quad_b
 
 
 def knot_order(F: BiquadField) -> int:
@@ -142,44 +177,42 @@ def knot_order(F: BiquadField) -> int:
     return 2
 
 
-def _verdict(F: BiquadField, t: Fraction | int, v: Place, lt: LocalType) -> PlaceVerdict:
-    """Whether t is a norm from the completion of K at v, of local type lt.
-
-    Split: everything is a norm.  Quadratic(d): Hilbert symbol (t, d)_v = 1.
-    Biquadratic: t must be a norm from both Q_v(sqrt a) and Q_v(sqrt b)."""
-    if lt.kind == SPLIT:
-        ok = True
-    elif lt.kind == QUADRATIC:
-        ok = arith.hilbert(t, lt.d, v) == 1
-    else:
-        ok = arith.hilbert(t, F.a, v) == 1 and arith.hilbert(t, F.b, v) == 1
-    return PlaceVerdict(v, lt, ok)
-
-
 def is_local_norm(F: BiquadField, t: Fraction | int, v: Place) -> bool:
-    """Whether t is a norm from the completion of K at v."""
-    t = Fraction(t)
-    if t == 0:
-        raise DomainError("t must be nonzero")
-    return _verdict(F, t, v, local_type(F, v)).local_norm
+    """Whether t is a norm from the completion of K at v: the verdict at v
+    of the everywhere-local report, and True at a place outside it, where
+    t is a unit in an unramified completion."""
+    _, report = is_everywhere_local_norm(F, t)
+    return next((pv.local_norm for pv in report if pv.place == v), True)
 
 
 def is_everywhere_local_norm(F: BiquadField, t: Fraction | int
                              ) -> tuple[bool, list[PlaceVerdict]]:
     """Test t at the finite set of relevant places: infinity, 2, p | ab and
     p | t.  At every other place t is a unit in an unramified completion and
-    all symbols are +1.  The exceptional places take their types from the
-    field's survey; each other place's type is computed once.  Returns
-    (verdict, per-place report)."""
-    t = Fraction(t)
-    if t == 0:
+    all symbols are +1.  Returns (verdict, per-place report), the places in
+    increasing order after infinity.
+
+    Split completions take every t.  Quadratic(d) needs (t, d)_v = 1 and
+    the biquadratic type both (t, a)_v = 1 and (t, b)_v = 1.  At infinity
+    and p | 2ab, t enters these symbols only through the `arith.symbol_class`
+    of its square class r = num * den, paired with the field's
+    `survey_symbols`.  At p | t with p not dividing 2ab the verdict is
+    "split, or v_p(t) even": there Quadratic(d) has d a unit non-square at
+    p, so (t, d)_p = (d|p)^(v_p(t)) = (-1)^(v_p(t)), and no symbol is taken."""
+    if not isinstance(t, (int, Fraction)):  # those are in lowest terms already
+        t = Fraction(t)
+    if not t:
         raise DomainError("t must be nonzero")
     r = t.numerator * t.denominator  # the square class of t, as an int
-    typed = list(F.survey[1:])
-    typed += [(v, local_type(F, v)) for v in
-              (Place(p) for p in arith.factorize(t).primes if p not in F.ramified_support)]
-    typed.sort(key=lambda pair: pair[0].p)
-    report = [_verdict(F, r, v, lt) for v, lt in [F.survey[0], *typed]]
+    report = []
+    for p, classes, verdicts in F.survey_symbols:
+        c = arith.symbol_class(r, p) if classes else None
+        report.append(verdicts[all(arith.symbol(c, d, p) == 1 for d in classes)])
+    for p, e in arith.factorize(t).factors:
+        if p not in F.ramified_support:
+            lt = _unramified_type(F, p)
+            report.append(PlaceVerdict(arith.proved_place(p), lt, e % 2 == 0 or lt.kind == SPLIT))
+    report[1:] = sorted(report[1:], key=lambda pv: pv.place.p)
     return all(pv.local_norm for pv in report), report
 
 
@@ -690,11 +723,32 @@ def negative_norm_witness(F: BiquadField, cap: int) -> NormCertificate | None:
 
 # --- global decision --------------------------------------------------------
 
+# The shells BiquadField.minus_one_refusal searches for a certificate of -1.
+# On Q(sqrt 5, sqrt 29), where -1 is everywhere local but a global norm, the
+# certificate (1/2, 1, 1/2, 0) lies on shell 2.
+MINUS_ONE_CAP = 16
+
+
+def require_minus_one_generates(F: BiquadField) -> None:
+    """Raise ConfigError where the class of -1 cannot generate the knot
+    group of F, by F.minus_one_refusal.  Passing proves nothing: -1 may
+    still be a global norm with no certificate up to MINUS_ONE_CAP."""
+    why = F.minus_one_refusal
+    if why is not None:
+        raise ConfigError(f"minus_one_generates asserted but {why}; "
+                          f"-1 cannot generate the knot group of this field")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs for decide_global: shell caps, whether the knot group of this
     field is known to be generated by the class of -1, and whether a
     trivial-knot Norm answer should still search for a witness.
+
+    minus_one_generates is a hypothesis, checked only as far as
+    require_minus_one_generates goes: it is refused where -1 is not
+    everywhere local, or is a global norm with a certificate on the shells
+    up to MINUS_ONE_CAP.
 
     Only caps[-1] is read.  Shells run in increasing order and a hit at
     shell s <= c does not depend on the cap c, so one search to caps[-1]
@@ -731,9 +785,6 @@ def decide_global(F: BiquadField, t: Fraction | int,
     a certificate decides both.  Otherwise only positive answers are
     possible: a certificate for t, or Unknown at cap exhaustion.
     """
-    t = Fraction(t)
-    if t == 0:
-        raise DomainError("t must be nonzero")
     ok, report = is_everywhere_local_norm(F, t)
     if not ok:
         failing = next(pv for pv in report if not pv.local_norm)
@@ -741,6 +792,7 @@ def decide_global(F: BiquadField, t: Fraction | int,
             "not_norm",
             f"not everywhere locally a norm: fails at v={failing.place}",
             report=tuple(report))
+    t = Fraction(t)
     cap = config.caps[-1]
     g = knot_order(F)
     if g == 1:
@@ -750,11 +802,8 @@ def decide_global(F: BiquadField, t: Fraction | int,
             note += f" (no witness found up to cap {cap})"
         return GlobalDecision("norm", note, certificate=cert)
     if config.minus_one_generates:
-        minus_ok, _ = is_everywhere_local_norm(F, -t)
-        if not minus_ok:
-            raise ConfigError(
-                "minus_one_generates asserted but -t is not everywhere local; "
-                "-1 cannot generate the knot group of this field")
+        # t is everywhere local, so -t is exactly where -1 is
+        require_minus_one_generates(F)
         found = _shell_search(F, {"t": t, "-t": -t}, cap)
         if found is None:
             return GlobalDecision(

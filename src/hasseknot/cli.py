@@ -75,6 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Local/global norm membership, knot groups, and counting "
                     "of Hasse-norm-principle counter-examples.")
     sub = ap.add_subparsers(dest="command", required=True)
+    minus_one_help = ("assert the knot group is generated by the class of -1; refused where "
+                      "-1 is not everywhere local or has a norm certificate on the shells "
+                      f"up to {biquad.MINUS_ONE_CAP}")
 
     def add_field(p):
         p.add_argument("--a", type=int, required=True, help="first radicand")
@@ -105,8 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--caps", type=_caps, default=(100, 1000, 10000),
                    help="certificate-search caps, e.g. 100,1000; one search runs to the last")
     p.add_argument("--cap", type=int, default=None, help="single search cap (overrides --caps)")
-    p.add_argument("--minus-one-generates", action="store_true",
-                   help="assert the knot group is generated by the class of -1")
+    p.add_argument("--minus-one-generates", action="store_true", help=minus_one_help)
     p.add_argument("--no-witness-search", action="store_true",
                    help="skip the witness search when the knot group is trivial")
     add_format(p)
@@ -128,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_field(p)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--minus-one-generates", action="store_true")
+    p.add_argument("--minus-one-generates", action="store_true", help=minus_one_help)
     p.add_argument("--search-cap", type=int, default=100)
     add_format(p, choices=("text", "json", "csv"))
 
@@ -143,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--levels", type=int, default=None)
     p.add_argument("--which", choices=("loc", "glob"), default="loc")
-    p.add_argument("--minus-one-generates", action="store_true")
+    p.add_argument("--minus-one-generates", action="store_true", help=minus_one_help)
     add_format(p)
 
     sub.add_parser("selftest", help="run the built-in smoke suites")

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import arith, biquad
 from .arith import Place, INFINITE_PLACE
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .numfield import doubling_grid
 
 HALF_RULE = "half_rule"
@@ -280,24 +280,25 @@ def count_series(F: biquad.BiquadField, B: int, levels: int | None = None, *,
     The global count mode follows the knot group: trivial knot means every
     everywhere-local element is global; knot group Z/2 generated by -1 gives
     the exact half rule (the height-preserving involution t <-> -t swaps the
-    two knot classes); otherwise certificate search provides a lower bound
-    with the unresolved count reported.  The search mode runs one search per
-    everywhere-local element and is only practical at small bounds.
+    two knot classes), refused by biquad.require_minus_one_generates where
+    -1 is not everywhere local or is found to be a global norm; otherwise
+    certificate search provides a lower bound with the unresolved count
+    reported.  The search mode runs one search per everywhere-local element
+    and is only practical at small bounds.
 
     `workers` has no effect: the count runs in one process.  It stays only
     because the benchmark under bench/ passes workers=1.
     """
     grid = doubling_grid(B, levels)
+    g = biquad.knot_order(F)
+    if g == 2 and minus_one_generates:  # refused before the count does its work
+        biquad.require_minus_one_generates(F)
     tables = local_tables(F, B)
     n_loc = _n_loc_series(grid, tables)
-    g = biquad.knot_order(F)
     if g == 1:
         mode = GlobMode(TRIVIAL_KNOT)
         n_glob = list(n_loc)
     elif minus_one_generates:
-        ok_minus_one, _ = biquad.is_everywhere_local_norm(F, -1)
-        if not ok_minus_one:
-            raise ConfigError("half rule requested but -1 is not everywhere local")
         mode = GlobMode(HALF_RULE)
         if any(nl % 2 for nl in n_loc):
             raise DomainError("n_loc is odd; the t <-> -t involution is broken")

@@ -119,6 +119,29 @@ def naive_local_count(field, B: int, grid: list[int]) -> dict[int, int]:
     return totals
 
 
+def local_report_by_symbols(F, t):
+    """The everywhere-local test one place at a time, as biquad did it
+    before the parity rule: infinity, then every prime of 2ab and of t in
+    increasing order; the places of 2ab∞ typed by the field's survey, the
+    others by biquad.local_type; each judged by arith.hilbert of t with the
+    radicands its type needs (none when split, d for Quadratic(d), a and b
+    for the biquadratic type).  Returns (verdict, report) like
+    biquad.is_everywhere_local_norm."""
+    from hasseknot import arith, biquad
+    t = Fraction(t)
+    r = t.numerator * t.denominator  # the square class of t, as an int
+    typed = list(F.survey[1:]) + [
+        (v, biquad.local_type(F, v)) for v in
+        (arith.Place(p) for p in arith.factorize(t).primes if p not in F.ramified_support)]
+    typed.sort(key=lambda pair: pair[0].p)
+    report = []
+    for v, lt in [F.survey[0], *typed]:
+        ds = {biquad.SPLIT: (), biquad.QUADRATIC: (lt.d,), biquad.BIQUADRATIC: (F.a, F.b)}
+        ok = all(arith.hilbert(r, d, v) == 1 for d in ds[lt.kind])
+        report.append(biquad.PlaceVerdict(v, lt, ok))
+    return all(pv.local_norm for pv in report), report
+
+
 def local_tables_by_prime(F, B: int):
     """count.local_tables as one Python iteration per prime up to B: the
     bits and the bad flag of each prime from per-prime `arith.hilbert` and

@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hasseknot import arith, biquad, numfield
+from hasseknot import arith, biquad, count, numfield
 from hasseknot.arith import INFINITE_PLACE, Place
 from hasseknot.biquad import BiquadField, SearchConfig
 from hasseknot.errors import ConfigError, DegenerateFieldError, DomainError
 
-from oracles import is_square_mod_p_bruteforce, scan_by_faces, shell_search_by_faces
+from oracles import (is_square_mod_p_bruteforce, local_report_by_symbols, scan_by_faces,
+                     shell_search_by_faces)
 
 F1317 = BiquadField(13, 17)
 F35 = BiquadField(3, 5)
@@ -114,6 +116,68 @@ def test_everywhere_local_fixtures():
     # (t, 13)_5 = (13 mod 5 | 5) = -1; the quadratic nonresidues 5 mod 13
     # and 5 mod 17 make those places fail as well
     assert failing == ["5", "13", "17"]
+
+
+# Trivial-knot fields (3, 5), (-1, 5), (-3, -7); a, b < 0 in (-1, -2) and
+# (-3, -7); a radicand whose int64 search fits no shell in (1000000007, 17).
+ORACLE_FIELDS = [BiquadField(a, b) for a, b in (
+    (13, 17), (3, 5), (-1, 5), (2, 7), (-3, 13), (6, 10), (5, -7), (30, -35), (-1, -2),
+    (-3, -7), (5, 29), (-2, 17), (3, 73), (1000000007, 17))]
+
+
+def _same_report(F, t):
+    assert biquad.is_everywhere_local_norm(F, t) == local_report_by_symbols(F, t), (F, t)
+
+
+def test_oracle_fields_cover_both_knot_orders():
+    assert {biquad.knot_order(F) for F in ORACLE_FIELDS} == {1, 2}
+    assert any(F.a < 0 and F.b < 0 for F in ORACLE_FIELDS)
+
+
+def test_everywhere_local_report_equals_per_place_oracle_small_heights():
+    heights = [Fraction(s * a, b) for a in range(1, 101) for b in range(1, 101)
+               if math.gcd(a, b) == 1 for s in (1, -1)]
+    for F in ORACLE_FIELDS:
+        for t in heights:
+            _same_report(F, t)
+
+
+def test_everywhere_local_report_equals_per_place_oracle_large_t():
+    big = [1031, 65537, 1000003, 1000000007, (1 << 61) - 1]
+    for F in ORACLE_FIELDS:
+        ab = sorted({2} | set(arith.factorize(F.a * F.b).primes))
+        values = [Fraction(p ** e, q) for p in big for e in (1, 2, 3) for q in (1, 3, 1024)]
+        values += [Fraction(q, p * 7 ** 5) for p in big for q in (1, 2, 13)]
+        values += [Fraction(p ** e) for p in ab for e in range(-4, 5)]
+        values += [Fraction(2 ** e * p ** f, 1031) for p in ab for e in (0, 1, 3) for f in (1, 2)]
+        values += [Fraction(3 ** 40 + 2, 2 ** 70), Fraction(F.a * F.b * 65537 ** 2, 999983)]
+        for t in values:
+            for u in (t, -t):
+                _same_report(F, u)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.sampled_from(ORACLE_FIELDS), st.integers(-10 ** 12, 10 ** 12).filter(bool),
+       st.integers(1, 10 ** 9), st.integers(0, 12))
+def test_everywhere_local_report_equals_oracle_hypothesis(F, num, den, k):
+    _same_report(F, Fraction(num * F.a ** k, den))
+
+
+def test_is_local_norm_reads_the_report():
+    for F in ORACLE_FIELDS[:6]:
+        for t in (Fraction(5), Fraction(-1), Fraction(25, 3), Fraction(-98, 45)):
+            _, report = local_report_by_symbols(F, t)
+            for pv in report:
+                assert biquad.is_local_norm(F, t, pv.place) == pv.local_norm, (F, t, pv)
+            assert biquad.is_local_norm(F, t, Place(1000003))  # t is a unit there
+
+
+def test_proved_places_and_composite_place():
+    with pytest.raises(DomainError):
+        Place(91)
+    _, report = biquad.is_everywhere_local_norm(F1317, Fraction(91, 1000003))
+    assert [pv.place for pv in report] == [INFINITE_PLACE] + [
+        Place(p) for p in (2, 7, 13, 17, 1000003)]
 
 
 def test_report_json_schema():
@@ -388,6 +452,38 @@ def test_decide_global_rejects_bogus_minus_one_hypothesis():
     assert not biquad.is_everywhere_local_norm(F, -1)[0]
     with pytest.raises(ConfigError):
         biquad.decide_global(F, 4, SearchConfig(caps=(5,), minus_one_generates=True))
+
+
+def test_minus_one_hypothesis_refused_where_minus_one_is_a_norm():
+    # -1 is everywhere local on Q(sqrt 5, sqrt 29), but N(1/2, 1, 1/2, 0) = -1
+    F = BiquadField(5, 29)
+    assert biquad.knot_order(F) == 2
+    assert biquad.is_everywhere_local_norm(F, -1)[0]
+    with pytest.raises(ConfigError, match="global norm"):
+        biquad.decide_global(F, -1, SearchConfig(caps=(30,), minus_one_generates=True))
+    with pytest.raises(ConfigError, match="global norm"):
+        count.count_series(F, 64, minus_one_generates=True)
+
+
+def test_minus_one_check_runs_once_per_field(monkeypatch):
+    F = BiquadField(13, 17)
+    calls = []
+    search = biquad.certificate_search
+    monkeypatch.setattr(biquad, "certificate_search",
+                        lambda *args: calls.append(args[1:]) or search(*args))
+    cfg = SearchConfig(caps=(10,), minus_one_generates=True)
+    for _ in range(3):
+        biquad.decide_global(F, 25, cfg)
+        count.count_series(F, 16, minus_one_generates=True)
+    assert calls == [(-1, biquad.MINUS_ONE_CAP)]
+
+
+def test_minus_one_check_skips_the_search_where_no_shell_fits():
+    F = BiquadField(1000000009, 17)
+    assert biquad.knot_order(F) == 2 and biquad._exact_radius(F.a, F.b, 63) == 0
+    assert biquad.is_everywhere_local_norm(F, -1)[0]
+    assert F.minus_one_refusal is None
+    assert count.count_series(F, 16, minus_one_generates=True).glob_mode.kind == count.HALF_RULE
 
 
 def test_splitting_pairs_against_dedekind():

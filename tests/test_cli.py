@@ -247,6 +247,32 @@ def test_config_error_exit(capsys):
     assert "-1" in err
 
 
+def test_minus_one_hypothesis_refused_where_minus_one_is_a_norm(capsys):
+    status, out, err = run(capsys, "global", "--a", "5", "--b", "29", "--t", "-1",
+                           "--minus-one-generates", "--cap", "30")
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error:") and "global norm" in err and len(err.splitlines()) == 1, err
+
+
+def test_local_and_global_json_pinned(capsys):
+    field = ("--a", "13", "--b", "17", "--t", "25")
+    status, out, _ = run(capsys, "global", *field, "--minus-one-generates", "--format", "json")
+    assert status == 0
+    assert out == (
+        '{"certificate": null, "justification": "certificate found for -t; the knot group '
+        'is generated by -1, so exactly one of t, -t is a global norm", "minus_certificate": '
+        '["1/2", "1/2", "3/2", "1/2"], "status": "not_norm", "t": "25"}\n')
+    status, out, _ = run(capsys, "local", *field, "--format", "json")
+    assert status == 0
+    assert out == (
+        '{"everywhere_local": true, "places": [{"local_norm": true, "type": "split", "v": "inf"}, '
+        '{"local_norm": true, "type": "quadratic", "v": "2"}, '
+        '{"local_norm": true, "type": "quadratic", "v": "5"}, '
+        '{"local_norm": true, "type": "quadratic", "v": "13"}, '
+        '{"local_norm": true, "type": "quadratic", "v": "17"}], "t": "25"}\n')
+
+
 # --- fuzzing: every run ends in an exit code, never in a traceback ----------
 
 _fmt = st.sampled_from([[], ["--format", "json"], ["--format", "text"]])
