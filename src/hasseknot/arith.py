@@ -61,10 +61,15 @@ def prime_power_multiples(B: int, primes: np.ndarray):
         yield c * primes[lo:hi], slice(lo, hi), 1
 
 
+# Moduli below this bound keep residues exact in int64: the product of two
+# residues mod m is below 2^62, and `residues` shifts one left by 32 bits.
+RESIDUE_BOUND = 1 << 31
+
+
 def residues(q: int, moduli: np.ndarray) -> np.ndarray:
-    """q mod m at every m of the int64 array `moduli`, all in 1..2^31 - 1,
-    for an int q of any size and sign.  |q| is reduced 32 bits at a time,
-    so every intermediate stays below 2^63."""
+    """q mod m at every m of the int64 array `moduli`, all in
+    1..RESIDUE_BOUND - 1, for an int q of any size and sign.  |q| is reduced
+    32 bits at a time, so every intermediate stays below 2^63."""
     r = np.zeros_like(moduli)
     for shift in range(abs(q).bit_length() // 32 * 32, -1, -32):
         r = ((r << 32) | ((abs(q) >> shift) & 0xFFFFFFFF)) % moduli
@@ -398,22 +403,9 @@ def _ord_unit(n: int, p: int) -> tuple[int, int]:
 
 
 def is_square_local(d: Fraction | int, v: Place) -> bool:
-    """True iff d is a square in the completion of Q at v.
-
-    A rational d is reduced to the int num * den of its square class.
-    Real place: d > 0.  Odd p: even valuation and unit part a QR mod p.
-    p = 2: even valuation and unit part = 1 mod 8.
-    """
-    d = _square_class(d)
-    p = v.p
-    if p is None:
-        return d > 0
-    val, u = _ord_unit(d, p)
-    if val % 2:
-        return False
-    if p == 2:
-        return u % 8 == 1
-    return kronecker(u, p) == 1
+    """True iff d is a square in the completion of Q at v: the int num * den
+    of its square class has the `symbol_class` of 1 at v."""
+    return symbol_class(_square_class(d), v.p) == symbol_class(1, v.p)
 
 
 def hilbert(a: Fraction | int, b: Fraction | int, v: Place) -> int:
@@ -432,7 +424,9 @@ def symbol_class(x: int, p: int | None) -> tuple[int, int]:
     """What the Hilbert symbol at p needs of a nonzero int x, as a pair
     (k, c): (1 if x < 0 else 0, 0) at the real place (p None); for
     x = p^n * u with u a unit, (n mod 2, (u|p)) at odd p and
-    (n mod 2, u mod 8) at p = 2."""
+    (n mod 2, u mod 8) at p = 2.  The one place that reads the square
+    class of x at p: x is a local square exactly when its pair is that
+    of 1."""
     if p is None:
         return int(x < 0), 0
     n, u = _ord_unit(x, p)

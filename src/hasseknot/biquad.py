@@ -35,13 +35,16 @@ class BiquadField:
     the squarefree kernel of a*b, so the three quadratic subfields are
     Q(sqrt a), Q(sqrt b), Q(sqrt d3).  `survey` holds the (place, local
     type) pairs at infinity, then at the primes dividing 2ab in increasing
-    order, computed once.  `survey_symbols` holds, for each of those
-    places, what is_everywhere_local_norm needs there: its p, the
-    `arith.symbol_class` at p of every d whose Hilbert symbol with t decides
-    a local norm (none for a split type, d for Quadratic(d), a and b for the
-    biquadratic type), and the place's failing and passing PlaceVerdicts.
-    `unramified_types` holds the three types away from 2ab: Quadratic(a),
-    Quadratic(b) and split.
+    order, computed once.  `bit_places` holds the norm conditions there, in
+    the same order: the pairs (v, d) such that t is a local norm at v
+    exactly when (t, d)_v = 1 for each of them; none for a split type, d
+    for Quadratic(d), a and b for the biquadratic type.  Both the one-shot
+    local test and the bits of `count.local_tables` read them.
+    `survey_symbols` holds, for each survey place, what
+    is_everywhere_local_norm needs there: its p, the `arith.symbol_class`
+    at p of each d of its norm conditions, and the place's failing and
+    passing PlaceVerdicts.  `unramified_types` holds the three types away
+    from 2ab: Quadratic(a), Quadratic(b) and split.
     """
 
     def __init__(self, a, b):
@@ -61,10 +64,11 @@ class BiquadField:
         self.survey = tuple(
             (v, local_type(self, v)) for v in
             [INFINITE_PLACE] + [arith.proved_place(p) for p in sorted(self.ramified_support)])
+        self.bit_places = tuple(
+            (v, d) for v, lt in self.survey
+            for d in {SPLIT: (), QUADRATIC: (lt.d,), BIQUADRATIC: (a, b)}[lt.kind])
         self.survey_symbols = tuple(
-            (v.p,
-             tuple(arith.symbol_class(d, v.p)
-                   for d in {SPLIT: (), QUADRATIC: (lt.d,), BIQUADRATIC: (a, b)}[lt.kind]),
+            (v.p, tuple(arith.symbol_class(d, v.p) for w, d in self.bit_places if w == v),
              (PlaceVerdict(v, lt, False), PlaceVerdict(v, lt, True)))
             for v, lt in self.survey)
 
@@ -192,13 +196,13 @@ def is_everywhere_local_norm(F: BiquadField, t: Fraction | int
     all symbols are +1.  Returns (verdict, per-place report), the places in
     increasing order after infinity.
 
-    Split completions take every t.  Quadratic(d) needs (t, d)_v = 1 and
-    the biquadratic type both (t, a)_v = 1 and (t, b)_v = 1.  At infinity
-    and p | 2ab, t enters these symbols only through the `arith.symbol_class`
-    of its square class r = num * den, paired with the field's
-    `survey_symbols`.  At p | t with p not dividing 2ab the verdict is
-    "split, or v_p(t) even": there Quadratic(d) has d a unit non-square at
-    p, so (t, d)_p = (d|p)^(v_p(t)) = (-1)^(v_p(t)), and no symbol is taken."""
+    At infinity and p | 2ab the verdict is the field's norm conditions
+    `bit_places`: (t, d)_v = 1 for each (v, d) there.  t enters these
+    symbols only through the `arith.symbol_class` of its square class
+    r = num * den, paired with the field's `survey_symbols`.  At p | t
+    with p not dividing 2ab the verdict is "split, or v_p(t) even": there
+    Quadratic(d) has d a unit non-square at p, so
+    (t, d)_p = (d|p)^(v_p(t)) = (-1)^(v_p(t)), and no symbol is taken."""
     if not isinstance(t, (int, Fraction)):  # those are in lowest terms already
         t = Fraction(t)
     if not t:
@@ -285,8 +289,8 @@ def mul_coords(F: BiquadField, x, y) -> tuple[Fraction, Fraction, Fraction, Frac
 #   the radius r53 where coeff * r^4 <= 2^53 - 1 every product and partial
 #   sum is an integer that float64 holds exactly, in any order of summation
 #   and with or without FMA; up to r64 the same bound keeps them in int64.
-#   A block is compared with a few targets one by one, and with more through
-#   a table of their low 16 bits and one sorted lookup of the candidates.
+#   A block is compared with the targets through a table of their low 16
+#   bits and one sorted lookup of the candidates.
 # - The conic join works in the box of the window's last shell c, where
 #   |A| <= (1 + |a|)(1 + |b|) c^2 and |B| <= 2 (1 + |b|) c^2 with B even.
 #   _conic lists the integer points of A^2 - a B^2 = T for every target T:
@@ -332,9 +336,6 @@ def _square_shares(m: int) -> np.ndarray:
 
 
 _SIEVE_SHARES = [(m, _square_shares(m)) for m in _SIEVE_MODULI]
-# up to this many targets the block scan compares each block with each one;
-# the low-bits table of _hit costs about as much as six comparisons
-_FEW_TARGETS = 6
 
 
 def _coeff(a: int, b: int) -> int:
@@ -594,19 +595,10 @@ def _hit(vals: np.ndarray):
     """The scan's predicate for the sorted int64 targets vals: it marks the
     entries of a block of norms that are one of them.
 
-    The norms of a float64 block are integers below 2^53 in magnitude: a
-    target below that converts exactly, and one above it rounds to 2^53 or
-    more and matches nothing.  Up to _FEW_TARGETS targets, a block is
-    compared with each; with more, a table of the targets' low 16 bits
+    The norms of a float64 block are integers below 2^53 in magnitude, so
+    they convert to int64 exactly.  A table of the targets' low 16 bits
     passes the few candidates to one sorted lookup, about as fast whatever
     the number of targets."""
-    if vals.size <= _FEW_TARGETS:
-        def hit(N):
-            marked = N == vals[0]
-            for v in vals[1:]:
-                marked |= N == v
-            return marked
-        return hit
     table = np.zeros(1 << 16, dtype=bool)
     table[vals & 0xFFFF] = True
 

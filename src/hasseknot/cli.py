@@ -39,13 +39,6 @@ def _poly(text: str) -> tuple[int, ...]:
             f"polynomial must be comma-separated integers, constant first: {text!r}")
 
 
-def _caps(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"caps must be comma-separated ints: {text!r}")
-
-
 def _gens(text: str) -> tuple[tuple[int, int], ...]:
     out = []
     for part in text.split(","):
@@ -105,9 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("global", help="decide global norm membership")
     add_field(p)
     p.add_argument("--t", type=_fraction, required=True)
-    p.add_argument("--caps", type=_caps, default=(100, 1000, 10000),
-                   help="certificate-search caps, e.g. 100,1000; one search runs to the last")
-    p.add_argument("--cap", type=int, default=None, help="single search cap (overrides --caps)")
+    p.add_argument("--cap", type=int, default=10000,
+                   help="last shell of the certificate search (default 10000)")
     p.add_argument("--minus-one-generates", action="store_true", help=minus_one_help)
     p.add_argument("--no-witness-search", action="store_true",
                    help="skip the witness search when the knot group is trivial")
@@ -190,8 +182,7 @@ def _cmd_local(args) -> int:
 
 def _cmd_global(args) -> int:
     F = biquad.BiquadField(args.a, args.b)
-    caps = (args.cap,) if args.cap is not None else tuple(args.caps)
-    cfg = biquad.SearchConfig(caps=caps,
+    cfg = biquad.SearchConfig(caps=(args.cap,),
                               minus_one_generates=args.minus_one_generates,
                               witness_search=not args.no_witness_search)
     dec = biquad.decide_global(F, args.t, cfg)
@@ -272,6 +263,7 @@ def _cmd_count_integers(args) -> int:
 
 def _cmd_fit(args) -> int:
     F = biquad.BiquadField(args.a, args.b)
+    count.fit_points(numfield.doubling_grid(args.bound, args.levels))  # before any count
     if args.which == "loc":  # n_loc needs no global count, so no search
         fit = count.fit_counts(*count.n_loc_series(F, args.bound, args.levels))
     else:

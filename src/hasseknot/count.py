@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import arith, biquad
-from .arith import Place, INFINITE_PLACE
+from .arith import Place
 from .errors import DomainError
 from .numfield import doubling_grid
 
@@ -112,12 +112,9 @@ class LocalTables:
         return x == (self.p_minus if t < 0 else 0)
 
 
-_SYMBOL_BOUND = 1 << 31  # products of two residues mod p < 2^31 fit an int64
-
-
 def _legendre(q: int, primes: np.ndarray) -> np.ndarray:
     """(p|q) as +-1 int8 for the odd prime q at each odd prime p != q of
-    `primes`, all below 2^31.
+    `primes`, all below arith.RESIDUE_BOUND.
 
     By reciprocity (p|q) is (q|p), negated when p = q = 3 mod 4, and (q|p)
     is Euler's criterion on q mod p, exact in int64 however large q is."""
@@ -136,8 +133,9 @@ def _legendre(q: int, primes: np.ndarray) -> np.ndarray:
 def local_tables(F: biquad.BiquadField, B: int) -> LocalTables:
     """The per-integer tables of F for 1..B.
 
-    Each prime p <= B XORs its Hilbert-symbol bits (p, d)_v at the fixed
-    places into the profile of every n it divides to odd order, and a bad
+    Profile bit k is the k-th norm condition (v, d) of `F.bit_places`: the
+    Hilbert symbol (n, d)_v is -1.  Each prime p <= B XORs its bits
+    (p, d)_v into the profile of every n it divides to odd order, and a bad
     prime (outside 2ab, with (a|p) and (b|p) not both 1) makes n fail.  For
     p outside 2ab these are real characters of p, computed for all such
     primes at once: (p, d)_2 is a function of p mod 8, (p, d)_q is the
@@ -147,20 +145,14 @@ def local_tables(F: biquad.BiquadField, B: int) -> LocalTables:
     through `arith.hilbert`.  `arith.prime_power_multiples` walks the powers.
 
     Raises DomainError for B < 1, for more than 63 profile bits, and for
-    B >= 2^31, before allocating: the symbols multiply residues mod p <= B
-    in int64."""
+    B >= arith.RESIDUE_BOUND = 2^31, before allocating: the symbols multiply
+    residues mod p <= B in int64."""
     if B < 1:
         raise DomainError("B must be >= 1")
-    if B >= _SYMBOL_BOUND:
+    if B >= arith.RESIDUE_BOUND:
         raise DomainError("B must be below 2^31: the local tables multiply "
                           "residues mod primes up to B in int64")
-    bit_places: list[tuple[Place, int]] = []
-    for v, lt in F.survey:
-        if lt.kind == biquad.QUADRATIC:
-            bit_places.append((v, lt.d))
-        elif lt.kind == biquad.BIQUADRATIC:
-            bit_places.append((v, F.a))
-            bit_places.append((v, F.b))
+    bit_places = F.bit_places
     if len(bit_places) > 63:
         raise DomainError(f"{len(bit_places)} profile bits exceed the 63 of an int64")
     primes = np.array(arith.sieve_primes(B), dtype=np.int64)
@@ -203,7 +195,7 @@ def local_tables(F: biquad.BiquadField, B: int) -> LocalTables:
     for k, (v, d) in enumerate(bit_places):
         if arith.hilbert(-1, d, v) == -1:
             p_minus |= 1 << k
-    return LocalTables(B, odd_bad == 0, profile, p_minus, tuple(bit_places), primes)
+    return LocalTables(B, odd_bad == 0, profile, p_minus, bit_places, primes)
 
 
 def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
@@ -342,12 +334,19 @@ def fit_exponent(series: CountSeries, which: str = "loc") -> FitResult:
     return fit_counts(series.grid, series.n_loc if which == "loc" else series.n_glob)
 
 
+def fit_points(grid: Sequence[int]) -> list[int]:
+    """The indices of the grid points with B >= 32, which fit_counts fits;
+    DomainError when there are fewer than 4."""
+    idx = [i for i, B in enumerate(grid) if B >= 32]
+    if len(idx) < 4:
+        raise DomainError("need at least 4 grid points with B >= 32")
+    return idx
+
+
 def fit_counts(grid: Sequence[int], counts: Sequence[int]) -> FitResult:
     """Least squares fit of log(count) = log c + 2 log B - e log log B over
-    the grid points with B >= 32."""
-    pts = [(B, c) for B, c in zip(grid, counts) if B >= 32]
-    if len(pts) < 4:
-        raise DomainError("need at least 4 grid points with B >= 32")
+    the grid points of fit_points."""
+    pts = [(grid[i], counts[i]) for i in fit_points(grid)]
     if any(c <= 0 for _, c in pts):
         raise DomainError("degenerate grid: zero counts cannot be log-fit")
     y = np.array([math.log(c) - 2 * math.log(B) for B, c in pts])

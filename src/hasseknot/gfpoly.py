@@ -266,11 +266,6 @@ def factor(coeffs, p: int) -> list[tuple[list[int], int]]:
     return out
 
 
-# The batched kernel holds residues mod p < 2^31 in int64 and reduces every
-# product of two residues (< 2^62) mod p before it is summed.
-_BATCH_PRIME_LIMIT = 1 << 31
-
-
 def _mul_rows(a: np.ndarray, b: np.ndarray, xn: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Row-wise a*b mod (f, p) for residues a, b of shape (P, n); xn[:, j]
     holds x^(n+j) mod (f, p) for j < n - 1 and p has shape (P, 1)."""
@@ -319,8 +314,10 @@ def _rank_rows(M: np.ndarray, p: np.ndarray) -> np.ndarray:
 def degree_patterns(coeffs, primes: np.ndarray) -> np.ndarray:
     """Degree counts of the irreducible factors of monic integer f mod every
     prime of the int64 array `primes`: out[i, d - 1] is the number of degree-d
-    factors mod primes[i].  Every prime must be below 2^31, and f must be
-    squarefree mod it (p not dividing the discriminant of f).
+    factors mod primes[i].  Every prime must be below arith.RESIDUE_BOUND =
+    2^31, as every product of two residues is reduced mod p in int64 before
+    it is summed, and f must be squarefree mod it (p not dividing the
+    discriminant of f).
 
     x^p mod (f, p) comes from square-and-multiply over all primes at once.
     The Frobenius matrix Q has the columns (x^p)^i mod f, and F_p[x]/f is the
@@ -335,8 +332,8 @@ def degree_patterns(coeffs, primes: np.ndarray) -> np.ndarray:
     if n < 1 or f[-1] != 1:
         raise DomainError("degree_patterns needs a monic polynomial of degree >= 1")
     primes = np.asarray(primes, dtype=np.int64)
-    if primes.size and (primes.min() < 2 or primes.max() >= _BATCH_PRIME_LIMIT):
-        raise DomainError(f"degree_patterns needs primes in 2..{_BATCH_PRIME_LIMIT - 1}")
+    if primes.size and (primes.min() < 2 or primes.max() >= arith.RESIDUE_BOUND):
+        raise DomainError(f"degree_patterns needs primes in 2..{arith.RESIDUE_BOUND - 1}")
     p = primes[:, None]
     x_n = np.stack([arith.residues(-c, primes) for c in f[:-1]], axis=1)
     powers = [x_n]  # x^n, ..., x^(2n-2) mod (f, p)

@@ -312,7 +312,7 @@ _BLOCK = 1 << 12
 def _check_census_bound(name: str, bound: int) -> None:
     """DomainError for a bound of 2^31 or more, before the primes up to it
     are sieved: the batched kernel takes patterns of primes below 2^31."""
-    if bound >= gfpoly._BATCH_PRIME_LIMIT:
+    if bound >= arith.RESIDUE_BOUND:
         raise DomainError(f"{name} must be below 2^31: the residue-degree patterns "
                           f"of the primes up to {name} are taken in int64")
 

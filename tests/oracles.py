@@ -67,6 +67,27 @@ def is_square_mod_p_bruteforce(a: int, p: int) -> bool:
     return a % p in {z * z % p for z in range(1, p)} and a % p != 0
 
 
+def is_square_local_reference(d, p) -> bool:
+    """Whether the nonzero rational d is a square in Q_p (p None: in R), by
+    its own valuation and unit tests on the square class r = num * den:
+    r > 0 at the real place; an even valuation and a unit part that is a
+    quadratic residue mod the odd p, or 1 mod 8 at p = 2."""
+    from hasseknot import arith
+    d = Fraction(d)
+    r = d.numerator * d.denominator
+    if p is None:
+        return r > 0
+    val = 0
+    while r % p == 0:
+        r //= p
+        val += 1
+    if val % 2:
+        return False
+    if p == 2:
+        return r % 8 == 1
+    return arith.kronecker(r, p) == 1
+
+
 def sums_of_two_squares_kernel(n: int) -> bool:
     """Classical ideal-norm criterion for Q(i): every prime = 3 mod 4 must
     divide n to even order."""

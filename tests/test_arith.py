@@ -10,7 +10,8 @@ from hasseknot import arith
 from hasseknot.arith import INFINITE_PLACE, Place
 from hasseknot.errors import DomainError
 
-from oracles import hilbert_bruteforce, is_square_mod_p_bruteforce, trial_factorize
+from oracles import (hilbert_bruteforce, is_square_local_reference, is_square_mod_p_bruteforce,
+                     trial_factorize)
 
 
 def test_factorize_unit():
@@ -255,6 +256,19 @@ def test_hilbert_square_triviality():
             s = Fraction(rng.choice([1, -1]) * rng.randint(1, 200), rng.randint(1, 200))
             b = Fraction(rng.choice([1, -1]) * rng.randint(1, 200), rng.randint(1, 200))
             assert arith.hilbert(s * s, b, v) == 1
+
+
+def test_is_square_local_matches_reference():
+    # is_square_local reads symbol_class; the reference runs its own
+    # valuation, mod 8 and Kronecker tests.  Every n/m with |n|, m <= 60,
+    # the integers among them as ints, and a few large powers of primes
+    places = [INFINITE_PLACE] + [Place(p) for p in arith.sieve_primes(50)]
+    values = {Fraction(n, m) for n in range(-60, 61) if n for m in range(1, 61)}
+    values = [int(x) if x.denominator == 1 else x for x in values]
+    values += [-(2 ** 70), 3 * 2 ** 64, 7 ** 40 * 17, -(2 ** 61 - 1), Fraction(47 ** 9, 2 ** 61 - 1)]
+    for v in places:
+        for d in values:
+            assert arith.is_square_local(d, v) == is_square_local_reference(d, v.p), (d, v)
 
 
 def test_local_square_implies_trivial_symbol():

@@ -368,13 +368,13 @@ def test_isqrt_is_exact_on_int64():
 
 
 def test_scan_predicate_on_both_sides_of_the_split():
-    # _hit compares up to _FEW_TARGETS targets one by one and looks up more
-    # in a low-bits table; both must mark exactly the block entries that are
-    # targets, in float64 blocks (where a target past 2^53 matches nothing)
-    # and in int64 blocks
+    # _hit looks the targets up in a low-bits table; it must mark exactly
+    # the block entries that are targets, for few targets and for many, in
+    # float64 blocks (where a target past 2^53 matches nothing) and in
+    # int64 blocks
     rng = np.random.default_rng(0)
     block = rng.integers(-(1 << 40), 1 << 40, size=(50, 200))
-    for n in (1, 2, biquad._FEW_TARGETS, biquad._FEW_TARGETS + 1, 120):
+    for n in (1, 2, 6, 7, 120):
         vals = np.unique(rng.choice(block.ravel(), n, replace=False))
         if n > 2:  # the largest two past the block's range and past 2^53
             vals[-2:] = (1 << 53) + 1, (1 << 62) + 3

@@ -96,7 +96,7 @@ def test_local_json_schema(capsys):
 
 def test_global_not_norm_via_pairing(capsys):
     status, out, _ = run(capsys, "global", "--a", "13", "--b", "17", "--t", "25",
-                         "--caps", "100,1000", "--minus-one-generates",
+                         "--cap", "1000", "--minus-one-generates",
                          "--format", "json")
     assert status == 0
     payload = json.loads(out)
@@ -201,6 +201,21 @@ def test_fit_loc_runs_no_search(capsys, monkeypatch):
     status, out, _ = run(capsys, "fit", *field)
     assert status == 0
     assert out == half_rule
+
+
+def test_fit_checks_its_grid_before_counting(capsys, monkeypatch):
+    from hasseknot import count
+
+    def no_count(*args, **kwargs):
+        raise AssertionError("fit counted on a grid it cannot fit")
+
+    # the message fit_counts gives after the count, now before it
+    monkeypatch.setattr(count, "count_series", no_count)
+    monkeypatch.setattr(count, "n_loc_series", no_count)
+    for which in ("glob", "loc"):
+        status, out, err = run(capsys, "fit", "--a", "13", "--b", "17", "--bound", "31",
+                               "--which", which)
+        assert (status, out, err) == (1, "", "error: need at least 4 grid points with B >= 32\n")
 
 
 def test_radicand_too_large_for_int64_search(capsys):

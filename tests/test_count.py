@@ -70,6 +70,14 @@ def test_local_tables_match_per_prime_oracle():
         assert np.array_equal(got.primes, want.primes), (F, B)
 
 
+def test_bit_places_are_the_field_norm_conditions():
+    # one list of norm conditions per field: the oracle's own layout, and
+    # the very tuple local_tables carries
+    for F in NINE_FIELDS + [WIDE]:
+        assert F.bit_places == local_tables_by_prime(F, 2).bit_places, F
+        assert count.local_tables(F, 2).bit_places is F.bit_places, F
+
+
 def test_n_loc_series_matches_class_search_oracle():
     # sizes naive_local_count cannot reach; every grid level down to B = 1
     cases = [(F, B) for F in NINE_FIELDS for B in (1, 2, 3, 100, 2048, 8192)]
