@@ -278,17 +278,20 @@ def mul_coords(F: BiquadField, x, y) -> tuple[Fraction, Fraction, Fraction, Frac
 # coeff = (1 + |b|)^2 ((1 + |a|)^2 + 4|a|).  Past the radius r64 where
 # coeff * r^4 <= 2^63 - 1 the search is refused.
 #
-# _shell_search finds the cone points whose norm is a target, integer shell by
-# integer shell, in the windows (0, 1], (1, 2], (2, 4], ..., (c/2, cap], with
-# one of two hit-finders per window, whichever _window_hits estimates cheaper.
-# Both find the same points, so the choice changes only the time.
+# _shell_search and the negative-norm witness walk the shells in the windows
+# (0, 1], (1, 2], (2, 4], ..., (c/2, min(cap, r64)] of _windows and get each
+# window's hits grouped by shell, as {r: points}.  _shell_search takes them
+# from whichever of two hit-finders _window_hits estimates cheaper; both
+# find the same points, so the choice changes only the time.
 #
-# - The block scan, _scan, which also serves the negative-norm witness,
-#   evaluates every cone point of a shell, about 8 r^3 of them: a block of
-#   the shell is one matrix product [U, -2P, 2aQ, 1] @ [1, R, S, V].  Up to
-#   the radius r53 where coeff * r^4 <= 2^53 - 1 every product and partial
-#   sum is an integer that float64 holds exactly, in any order of summation
-#   and with or without FMA; up to r64 the same bound keeps them in int64.
+# - The block scan, _scan, which also serves the witness, evaluates every
+#   cone point of the window (lo, hi]: the box of shell hi, (hi + 1)^3
+#   (2 hi + 1) cone points, less the box of shell lo.  It takes two blocks
+#   of the halves of the box, each one matrix product
+#   [U, -2P, 2aQ, 1] @ [1, R, S, V].  Up to the radius r53 where
+#   coeff * r^4 <= 2^53 - 1 every product and partial sum is an integer
+#   that float64 holds exactly, in any order of summation and with or
+#   without FMA; up to r64 the same bound keeps them in int64.
 #   A block is compared with the targets through a table of their low 16
 #   bits and one sorted lookup of the candidates.
 # - The conic join works in the box of the window's last shell c, where
@@ -305,10 +308,14 @@ def mul_coords(F: BiquadField, x, y) -> tuple[Fraction, Fraction, Fraction, Frac
 # The join wins by orders of magnitude when the targets are few and |b| is
 # small, as in the -1 hypothesis search on Q(sqrt 13, sqrt 17); the scan
 # wins in small windows and where targets * (1 + |b|) is large next to c^2.
-# Because the share of square roots ranges from 0 to 1 by target, the
-# estimate takes it per target, by the CRT over the prime powers of 5040.
+# Because the share of square roots ranges from 0 to 1 by target, the cost
+# estimate does not guess it: the residue pass of _residues, which picks
+# the B to take roots for, counts them before any is taken.
 
-_CHUNK = 1 << 22
+# _CHUNK bounds the entries of a scan block and of a batch of square roots or
+# joined pairs: at 2^17, 1 MB as float64 or int64, a block and its temporaries
+# stay in a 2 MB L2 cache, where window scans in blocks of 2^22 ran 1.3x longer.
+_CHUNK = 1 << 17
 # The cost model of _window_hits counts scanned points.  Timed over 269
 # search windows on a 2-core x86 box with one BLAS thread, a scanned point
 # costs 7.6 ns (the median over the windows of 10^5 points or more); by least
@@ -323,19 +330,8 @@ _ISQRT_MAX = math.isqrt((1 << 63) - 1)
 # T + a B^2 must be a square mod _SIEVE = 2^4 3^2 5 7 for A to exist; about
 # 1/26 of the B pass on average.  _SIEVE_SQUARES[x]: x is a square mod _SIEVE,
 # 0 <= x < 2 _SIEVE.
-_SIEVE_MODULI = (16, 9, 5, 7)
-_SIEVE = math.prod(_SIEVE_MODULI)
+_SIEVE = 16 * 9 * 5 * 7
 _SIEVE_SQUARES = np.tile(np.isin(np.arange(_SIEVE), np.arange(_SIEVE) ** 2 % _SIEVE), 2)
-
-
-def _square_shares(m: int) -> np.ndarray:
-    """[u, x]: the share of the rho mod m that make x + u rho^2 a square mod m."""
-    r = np.arange(m)
-    square = np.isin(r, r * r % m)
-    return square[(r[None, :, None] + r[:, None, None] * (r * r)) % m].mean(axis=2)
-
-
-_SIEVE_SHARES = [(m, _square_shares(m)) for m in _SIEVE_MODULI]
 
 
 def _coeff(a: int, b: int) -> int:
@@ -362,46 +358,61 @@ def _refusal(a: int, b: int, r64: int) -> DomainError:
                        f"(a,b)=({a},{b}); cap must be <= {r64}")
 
 
-def _scan(F: BiquadField, cap: int, hit, start: int = 1):
-    """For r = start..cap, yield (r, points): the (n0, n1, n2, n3, N) on the
-    n0, n1, n2 >= 0 part of integer shell r whose norms N the predicate
-    `hit` marks, given the norms of a block as a 2-D array, one matrix
-    product of the block's halves: float64 up to shell r53, int64 beyond
-    it.  With hit None nothing is evaluated.
-    DomainError at the first shell past r64, whose norms can overflow int64
-    for (a, b)."""
+def _windows(F: BiquadField, cap: int):
+    """Yield the windows (lo, hi] of shells (0, 1], (1, 2], (2, 4], ...,
+    (c/2, min(cap, r64)] in turn; then DomainError when cap > r64, for the
+    first shell whose norms can overflow int64 for (a, b)."""
+    r64 = _exact_radius(F.a, F.b, 63)
+    lo, top = 0, min(cap, r64)
+    while lo < top:
+        hi = min(max(1, 2 * lo), top)
+        yield lo, hi
+        lo = hi
+    if cap > r64:
+        raise _refusal(F.a, F.b, r64)
+
+
+def _by_shell(out: dict[int, list], lo: int, n0, n1, n2, n3, N) -> None:
+    """Append the points (n0, n1, n2, n3, N), given as arrays, with integer
+    shell r = max(n0, n1, n2, |n3|) > lo to out[r]."""
+    r = np.maximum(np.maximum(n0, n1), np.maximum(n2, np.abs(n3)))
+    for i in np.flatnonzero(r > lo):
+        out.setdefault(int(r[i]), []).append(
+            (int(n0[i]), int(n1[i]), int(n2[i]), int(n3[i]), int(N[i])))
+
+
+def _scan(F: BiquadField, lo: int, hi: int, hit) -> dict[int, list]:
+    """The hits of the window (lo, hi] as {r: points}: the (n0, n1, n2, n3, N)
+    on the n0, n1, n2 >= 0 part of integer shell r whose norms N the
+    predicate `hit` marks, given the norms of a block as a 2-D array.  Of
+    the halves of the box of shell hi, the window is (max i > lo) x (all j)
+    and (max i <= lo) x (max j > lo); a block of either is one matrix
+    product of its halves, float64 for hi <= r53 and int64 beyond."""
     a, b = F.a, F.b
-    r53, r64 = _exact_radius(a, b, 53), _exact_radius(a, b, 63)
-    for r in range(start, cap + 1):
-        if r > r64:
-            raise _refusal(a, b, r64)
-        points = []
-        if hit:
-            # halves i in [0, r]^2 and j in [0, r] x [-r, r]; shell r is
-            # (max i = r) x (all j) and (max i < r) x (max j = r)
-            n0, n1, n2, n3 = _halves(r)
-            P, Q = n0 * n0 + a * n1 * n1, 2 * n0 * n1
-            R, S = b * (n2 * n2 + a * n3 * n3), 2 * b * n2 * n3
-            left = np.stack([P * P - a * Q * Q, -2 * P, 2 * a * Q, np.ones_like(P)], axis=1)
-            right = np.stack([np.ones_like(R), R, S, R * R - a * S * S])
-            if r <= r53:
-                left, right = left.astype(np.float64), right.astype(np.float64)
-            outer = np.maximum(n0, n1) == r
-            rows = (np.flatnonzero(outer), np.flatnonzero(~outer))
-            cols = (np.arange(n2.size), np.flatnonzero(np.maximum(n2, np.abs(n3)) == r))
-            for I, J in zip(rows, cols):
-                L = left[I]
-                step = max(1, _CHUNK // I.size)
-                for s in range(0, J.size, step):
-                    Js = J[s:s + step]
-                    N = L @ right[:, Js]
-                    marked = hit(N)
-                    if marked.any():
-                        ii, jj = np.nonzero(marked)
-                        points += [(int(n0[i]), int(n1[i]), int(n2[j]), int(n3[j]), int(v))
-                                   for i, j, v in zip(I[ii], Js[jj], N[ii, jj])]
-                    del N, marked  # free the block before the next one is allocated
-        yield r, points
+    n0, n1, n2, n3 = _halves(hi)
+    P, Q = n0 * n0 + a * n1 * n1, 2 * n0 * n1
+    R, S = b * (n2 * n2 + a * n3 * n3), 2 * b * n2 * n3
+    left = np.stack([P * P - a * Q * Q, -2 * P, 2 * a * Q, np.ones_like(P)], axis=1)
+    right = np.stack([np.ones_like(R), R, S, R * R - a * S * S])
+    if hi <= _exact_radius(a, b, 53):
+        left, right = left.astype(np.float64), right.astype(np.float64)
+    outer = np.maximum(n0, n1) > lo
+    rows = (np.flatnonzero(outer), np.flatnonzero(~outer))
+    cols = (np.arange(n2.size), np.flatnonzero(np.maximum(n2, np.abs(n3)) > lo))
+    out: dict[int, list] = {}
+    for I, J in zip(rows, cols):
+        L = left[I]
+        step = max(1, _CHUNK // I.size)
+        for s in range(0, J.size, step):
+            Js = J[s:s + step]
+            N = L @ right[:, Js]
+            marked = hit(N)
+            if marked.any():
+                ii, jj = np.nonzero(marked)
+                i, j = I[ii], Js[jj]
+                _by_shell(out, lo, n0[i], n1[i], n2[j], n3[j], N[ii, jj])
+            del N, marked  # free the block before the next one is allocated
+    return out
 
 
 def _sign_orbit(n0: int, n1: int, n2: int, n3: int):
@@ -449,12 +460,6 @@ def _isqrt(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def _shell_points(r: int) -> int:
-    """Cone points _scan evaluates on shell r: (max i = r) x (all j) and
-    (max i < r) x (max j = r)."""
-    return (2 * r + 1) ** 2 * (r + 1) + r * r * (4 * r + 1)
-
-
 def _conic_ranges(a: int, b: int, vals: np.ndarray, c: int) -> list[tuple[int, int]]:
     """For each target T, the range [lo, hi] of the beta = B/2 >= 0 that can
     give a conic point in the box of shell c, empty when lo > hi.  The box
@@ -487,31 +492,13 @@ def _runs(cnt: np.ndarray):
         s = e
 
 
-def _sieve_share(a: int, vals: np.ndarray) -> np.ndarray:
-    """For each target T, the share of the beta mod _SIEVE for which
-    T + 4a beta^2 is a square mod _SIEVE: by the CRT, the product over the
-    prime powers m of _SIEVE of the share mod m."""
-    share = np.ones(vals.size)
-    for m, shares in _SIEVE_SHARES:
-        share *= shares[4 * a % m, vals % m]
-    return share
-
-
-def _conic(a: int, b: int, vals: np.ndarray, c: int, ranges):
-    """(A, B, k): the integer points of A^2 - a B^2 = vals[k] with B even,
-    |B| <= 2 (1 + |b|) c^2 and |A| <= (1 + |a|)(1 + |b|) c^2, the box that
-    holds (P_i - R_j, Q_i - S_j) for every point of shell <= c.
-
-    Of the beta = B/2 in a target's range, only those where T + 4a beta^2 is
-    a square mod _SIEVE, which depends on beta mod _SIEVE, get a square root.
-    The targets' _SIEVE residues are tested about _CHUNK at a time, and the
-    beta of the passing (target, residue) pairs come about _CHUNK at a time
-    too.  Everything stays in int64 for c <= r64 and |T| <= coeff * c^4:
-    4|a| beta^2 <= |a| bmax^2 = 4|a| (1 + |b|)^2 c^4 <= coeff * c^4 <= 2^63 - 1,
-    and the ranges put T + 4a beta^2 in [0, amax^2] for a > 0 and in [0, T]
-    for a < 0, with amax^2 <= coeff * c^4; _isqrt is exact on [0, 2^63 - 1]."""
-    amax = (1 + abs(a)) * (1 + abs(b)) * c * c
-    lo, hi = (np.array(x, dtype=np.int64) for x in zip(*ranges))
+def _residues(a: int, b: int, vals: np.ndarray, c: int):
+    """(k, start, n): the beta of target k's range that _conic takes a square
+    root for in the box of shell c, as runs start + _SIEVE i, i < n, n > 0,
+    one per residue of beta mod _SIEVE that makes T + 4a beta^2 a square mod
+    _SIEVE; n.sum() counts the square roots.  The residues are tested about
+    _CHUNK at a time."""
+    lo, hi = (np.array(x, dtype=np.int64) for x in zip(*_conic_ranges(a, b, vals, c)))
     rho = np.arange(_SIEVE, dtype=np.int64)
     step = 4 * a % _SIEVE * (rho * rho % _SIEVE) % _SIEVE
     group = max(1, _CHUNK // _SIEVE)
@@ -519,14 +506,32 @@ def _conic(a: int, b: int, vals: np.ndarray, c: int, ranges):
     for g in range(0, vals.size, group):
         k, res = np.nonzero(_SIEVE_SQUARES[vals[g:g + group, None] % _SIEVE + step])
         k += g
-        first = -((res - lo[k]) // _SIEVE)  # the beta are res + _SIEVE * (first + i), i < n
-        n = np.maximum((hi[k] - res) // _SIEVE - first + 1, 0)
-        for p, i in _runs(n):
-            beta = res[p] + _SIEVE * (first[p] + i)
-            X = vals[k[p]] + 4 * a * beta * beta
-            A = _isqrt(X)
-            root = (A * A == X) & (A <= amax)
-            parts.append((A[root], 2 * beta[root], k[p[root]]))
+        first = -((res - lo[k]) // _SIEVE)  # the least i with res + _SIEVE i >= lo
+        n = (hi[k] - res) // _SIEVE - first + 1
+        run = n > 0
+        parts.append((k[run], res[run] + _SIEVE * first[run], n[run]))
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def _conic(a: int, b: int, vals: np.ndarray, c: int, k, start, n):
+    """(A, B, k): the integer points of A^2 - a B^2 = vals[k] with B even,
+    |B| <= 2 (1 + |b|) c^2 and |A| <= (1 + |a|)(1 + |b|) c^2, the box that
+    holds (P_i - R_j, Q_i - S_j) for every point of shell <= c, from the
+    runs (k, start, n) of beta = B/2 >= 0 of _residues.
+
+    The beta come about _CHUNK at a time.  Everything stays in int64 for
+    c <= r64 and |T| <= coeff * c^4:
+    4|a| beta^2 <= |a| bmax^2 = 4|a| (1 + |b|)^2 c^4 <= coeff * c^4 <= 2^63 - 1,
+    and the ranges put T + 4a beta^2 in [0, amax^2] for a > 0 and in [0, T]
+    for a < 0, with amax^2 <= coeff * c^4; _isqrt is exact on [0, 2^63 - 1]."""
+    amax = (1 + abs(a)) * (1 + abs(b)) * c * c
+    parts = []
+    for p, i in _runs(n):
+        beta = start[p] + _SIEVE * i
+        X = vals[k[p]] + 4 * a * beta * beta
+        A = _isqrt(X)
+        root = (A * A == X) & (A <= amax)
+        parts.append((A[root], 2 * beta[root], k[p[root]]))
     A, B, k = (np.concatenate(x) for x in zip(*parts)) if parts else \
         (np.zeros(0, dtype=np.int64),) * 3
     # add the sign images with -A, then with -B, each point once
@@ -612,47 +617,40 @@ def _hit(vals: np.ndarray):
     return hit
 
 
-def _window_hits(F: BiquadField, vals: np.ndarray, lo: int, hi: int):
-    """For r = lo + 1..hi, yield (r, points): the (n0, n1, n2, n3, N) on the
-    n0, n1, n2 >= 0 part of integer shell r whose norm N is one of the
-    sorted int64 targets vals, by the block scan or by the conic join,
+def _window_hits(F: BiquadField, vals: np.ndarray, lo: int, hi: int) -> dict[int, list]:
+    """The hits of the window (lo, hi] as {r: points}: the (n0, n1, n2, n3, N)
+    on the n0, n1, n2 >= 0 part of integer shell r whose norm N is one of
+    the sorted int64 targets vals, by the block scan or by the conic join,
     whichever the cost estimate favours.
 
-    The scan costs the window's cone points.  The join costs _JOIN_COST per
-    square root that _conic is expected to take, by the share of the beta
-    that pass the sieve for each target, and per target _TARGET_ROOTS of
-    them; once the conic points are known, _JOIN_COST * _PAIR_ROOTS per
-    congruent pair of _join.  An estimate at or above the scan's picks the
-    scan.
+    The scan costs the window's cone points, the box of shell hi less the
+    box of shell lo.  The join costs _JOIN_COST per square root of _conic,
+    as many as _residues counts, and per target _TARGET_ROOTS of them; once
+    the conic points are known, _JOIN_COST * _PAIR_ROOTS per congruent pair
+    of _join.  An estimate at or above the scan's picks the scan.
     """
+    if not vals.size:
+        return {}
     a, b = F.a, F.b
-    scan = sum(_shell_points(r) for r in range(lo + 1, hi + 1))
-    if vals.size and _JOIN_COST * _TARGET_ROOTS * vals.size < scan:  # else no estimate needed
-        ranges = _conic_ranges(a, b, vals, hi)
-        sizes = np.array([max(0, h - l + 1) for l, h in ranges], dtype=np.float64)
-        roots = float(sizes @ _sieve_share(a, vals)) + _TARGET_ROOTS * vals.size
-        if _JOIN_COST * roots < scan:
-            pairs, joined = _join(a, b, hi, *_conic(a, b, vals, hi, ranges))
+    scan = (hi + 1) ** 3 * (2 * hi + 1) - (lo + 1) ** 3 * (2 * lo + 1)
+    if _JOIN_COST * _TARGET_ROOTS * vals.size < scan:  # else no root count needed
+        k, start, n = _residues(a, b, vals, hi)
+        if _JOIN_COST * (int(n.sum()) + _TARGET_ROOTS * vals.size) < scan:
+            pairs, joined = _join(a, b, hi, *_conic(a, b, vals, hi, k, start, n))
             if _JOIN_COST * _PAIR_ROOTS * pairs < scan:
                 out: dict[int, list] = {}
-                for n0, n1, n2, n3, k in joined:
-                    r = np.maximum(np.maximum(n0, n1), np.maximum(n2, np.abs(n3)))
-                    for i in np.flatnonzero(r > lo):
-                        out.setdefault(int(r[i]), []).append(
-                            (int(n0[i]), int(n1[i]), int(n2[i]), int(n3[i]), int(vals[k[i]])))
-                for r in range(lo + 1, hi + 1):
-                    yield r, out.get(r, [])
-                return
-    yield from _scan(F, hi, _hit(vals) if vals.size else None, lo + 1)
+                for n0, n1, n2, n3, kk in joined:
+                    _by_shell(out, lo, n0, n1, n2, n3, vals[kk])
+                return out
+    return _scan(F, lo, hi, _hit(vals))
 
 
 def _shell_search(F: BiquadField, targets: dict[str, Fraction], cap: int
                   ) -> tuple[str, NormCertificate] | None:
     """Search shells 1..cap for the first coords whose norm equals one of the
     target values; returns (label, certificate) for the earliest match in
-    the deterministic order, or None.  The shells run in the windows
-    (0, 1], (1, 2], (2, 4], ... of _window_hits.
-    DomainError past r64, as _scan, when no shell up to r64 holds a match."""
+    the deterministic order, or None.  Each window of _windows goes through
+    _window_hits; past r64 _windows raises DomainError."""
     if cap < 1:
         raise DomainError("cap must be >= 1")
     value_map: dict[int, tuple[str, int]] = {}
@@ -662,16 +660,14 @@ def _shell_search(F: BiquadField, targets: dict[str, Fraction], cap: int
                 value_map.setdefault(tval.numerator * (q ** 4 // tval.denominator), (label, q))
     i64max = (1 << 63) - 1
     tvals = np.array(sorted(v for v in value_map if abs(v) <= i64max), dtype=np.int64)
-    a, b = F.a, F.b
-    r64 = _exact_radius(a, b, 63)
+    coeff = _coeff(F.a, F.b)
     # a point of integer shell r with denominator q lies on shell max(r, q)
     pending: dict[int, list] = {}
-    lo, top = 0, min(cap, r64)
-    while lo < top:
-        hi = min(max(1, 2 * lo), top)
+    for lo, hi in _windows(F, cap):
         # |N| <= coeff * hi^4 on the window's shells, so larger targets never match
-        for r, points in _window_hits(F, tvals[np.abs(tvals) <= _coeff(a, b) * hi ** 4], lo, hi):
-            for *n, val in points:
+        hits = _window_hits(F, tvals[np.abs(tvals) <= coeff * hi ** 4], lo, hi)
+        for r in range(lo + 1, hi + 1):
+            for *n, val in hits.get(r, ()):
                 label, q = value_map[val]
                 shell = max(r, q)
                 if shell <= cap:
@@ -681,9 +677,6 @@ def _shell_search(F: BiquadField, targets: dict[str, Fraction], cap: int
                 if found[1].value != targets[found[0]]:
                     raise InternalConsistencyError("shell search returned a wrong norm")
                 return found
-        lo = hi
-    if cap > r64:
-        raise _refusal(a, b, r64)
     return None
 
 
@@ -705,11 +698,12 @@ def negative_norm_witness(F: BiquadField, cap: int) -> NormCertificate | None:
     has a real embedding.
 
     The sign of the norm ignores the denominator, so only q = 1 is scanned;
-    a q > 1 witness would be preceded by its integral version anyway."""
-    for _, points in _scan(F, cap, lambda N: N < 0):
-        found = _least(F, [(1, n, None) for *n, _ in points])
-        if found is not None:
-            return found[1]
+    a q > 1 witness would be preceded by its integral version anyway, and
+    with q = 1 every point of the first shell with a hit is primitive."""
+    for lo, hi in _windows(F, cap):
+        hits = _scan(F, lo, hi, lambda N: N < 0)
+        if hits:
+            return _least(F, [(1, n, None) for *n, _ in hits[min(hits)]])[1]
     return None
 
 

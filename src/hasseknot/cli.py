@@ -31,6 +31,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive int: {text!r}")
+    return value
+
+
 def _poly(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.replace(" ", "").split(","))
@@ -98,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("global", help="decide global norm membership")
     add_field(p)
     p.add_argument("--t", type=_fraction, required=True)
-    p.add_argument("--cap", type=int, default=10000,
+    p.add_argument("--cap", type=_positive_int, default=10000,
                    help="last shell of the certificate search (default 10000)")
     p.add_argument("--minus-one-generates", action="store_true", help=minus_one_help)
     p.add_argument("--no-witness-search", action="store_true",
@@ -123,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--levels", type=int, default=None)
     p.add_argument("--minus-one-generates", action="store_true", help=minus_one_help)
-    p.add_argument("--search-cap", type=int, default=100)
+    p.add_argument("--search-cap", type=_positive_int, default=100)
     add_format(p, choices=("text", "json", "csv"))
 
     p = sub.add_parser("count-integers", help="everywhere-local integer counts")

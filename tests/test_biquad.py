@@ -271,6 +271,15 @@ def test_negative_norm_witness():
     assert biquad.negative_norm_witness(BiquadField(-1, 5), 30) is None  # totally imaginary
 
 
+def test_negative_norm_witness_inside_a_window():
+    # the first negative norms lie on shell 3 of the window (2, 4] and on
+    # shell 5 of (4, 8], not on a window's edge
+    for (a, b), coords, value in (((70, 10), (3, 3, 3, 1), -100679),
+                                  ((1999, 7), (5, 5, 5, -2), -34378291)):
+        cert = biquad.negative_norm_witness(BiquadField(a, b), 12)
+        assert (cert.coords, cert.value) == (coords, value), (a, b)
+
+
 # The nine fields of the N_loc gates; then three whose float64-exact radius
 # r53 is crossed at caps <= 14, the last also past its int64 radius r64 = 13;
 # and one with r53 = 0, where shell 1 already runs on int64.
@@ -324,12 +333,14 @@ FORCED = {"join": 0.0, "scan": float("inf")}
 
 def test_scan_equals_the_face_oracle(monkeypatch):
     # The oracle is shell_search_by_faces, and the witness over scan_by_faces
-    # in place of the block scan.  The library must agree with it by its own
+    # in place of the block scan, its shells cut to each window (lo, hi] and
+    # only those with hits kept.  The library must agree with it by its own
     # choice of hit-finder and with each one forced, with a chunk small
-    # enough that the blocks of shells 6 and up, the conic roots and the
-    # joined pairs all split.
+    # enough that the scan blocks of the windows from (4, 8] on, the conic
+    # roots and the joined pairs all split.
     with monkeypatch.context() as mp:
-        mp.setattr(biquad, "_scan", scan_by_faces)
+        mp.setattr(biquad, "_scan", lambda F, lo, hi, hit: {
+            r: pts for r, pts in scan_by_faces(F, hi, hit) if r > lo and pts})
         expected = _search_outcomes(random.Random(10), shell_search_by_faces, _witness)
     monkeypatch.setattr(biquad, "_CHUNK", 1000)
     for finder in ("default", *FORCED):
@@ -444,6 +455,30 @@ def test_decide_global_unknown_without_hypothesis():
     dec = biquad.decide_global(F1317, 25, SearchConfig(caps=(6,)))
     assert dec.status == "unknown"
     assert dec.cap == 6
+
+
+def test_decide_global_certificate_without_hypothesis():
+    dec = biquad.decide_global(F1317, -25, SearchConfig(caps=(3,)))
+    assert (dec.status, dec.justification) == ("norm", "certificate found")
+    assert dec.certificate.coords == tuple(map(Fraction, ("1/2", "1/2", "3/2", "1/2")))
+    dec = biquad.decide_global(F1317, -25, SearchConfig(caps=(2,)))
+    assert (dec.status, dec.cap, dec.certificate) == ("unknown", 2, None)
+
+
+def test_decide_global_unknown_under_the_hypothesis():
+    # the decide-stream query that exhausts its cap
+    cfg = SearchConfig(caps=(60,), minus_one_generates=True)
+    dec = biquad.decide_global(F1317, Fraction(9, 68), cfg)
+    assert (dec.status, dec.cap) == ("unknown", 60)
+    assert dec.justification == "no certificate for t or -t up to cap 60"
+    assert dec.certificate is None and dec.minus_certificate is None
+
+
+def test_decide_global_trivial_knot_without_a_witness():
+    dec = biquad.decide_global(F35, Fraction(44, 71), SearchConfig(caps=(1,)))
+    assert (dec.status, dec.certificate) == ("norm", None)
+    assert dec.justification == ("knot group trivial: every everywhere-local element is a "
+                                 "global norm (no witness found up to cap 1)")
 
 
 def test_decide_global_rejects_bogus_minus_one_hypothesis():

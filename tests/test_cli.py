@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 from hypothesis import example, given, settings, strategies as st
@@ -104,6 +105,30 @@ def test_global_not_norm_via_pairing(capsys):
     assert payload["minus_certificate"] == ["1/2", "1/2", "3/2", "1/2"]
 
 
+def test_global_text_with_certificate(capsys):
+    status, out, _ = run(capsys, "global", "--a", "13", "--b", "17", "--t", "-25", "--cap", "3")
+    assert status == 0
+    assert out == "status: norm\n  certificate found\n  certificate: ['1/2', '1/2', '3/2', '1/2']\n"
+
+
+def test_caps_are_positive_ints_when_parsed(capsys):
+    # Q(sqrt 3, sqrt 5) has the trivial knot group, so its count never
+    # searches; the cap is refused all the same
+    for argv in (("global", "--a", "13", "--b", "17", "--t", "25", "--cap"),
+                 ("global", "--a", "3", "--b", "5", "--t", "4", "--cap"),
+                 ("count", "--a", "3", "--b", "5", "--bound", "16", "--search-cap"),
+                 ("count", "--a", "13", "--b", "17", "--bound", "16", "--search-cap"),
+                 ("count", "--a", "13", "--b", "17", "--bound", "16", "--minus-one-generates",
+                  "--search-cap")):
+        for value in ("0", "-1", "x"):
+            status, out, err = run(capsys, *argv, value)
+            assert (status, out) == (2, ""), (argv, value)
+            assert f"argument {argv[-1]}: " in err and value in err, err
+    status, out, _ = run(capsys, "count", "--a", "3", "--b", "5", "--bound", "16",
+                         "--search-cap", "1")
+    assert status == 0 and out.startswith("glob mode: trivial_knot")
+
+
 def test_global_unknown_exit_code(capsys):
     status, out, _ = run(capsys, "global", "--a", "13", "--b", "17", "--t", "25",
                          "--cap", "5", "--format", "json")
@@ -162,6 +187,16 @@ def test_count_csv_and_json(capsys):
     assert payload["config"]["minus_one_generates"] is True
 
 
+def test_count_json_in_search_mode(capsys):
+    status, out, _ = run(capsys, "count", "--a", "13", "--b", "17", "--bound", "16",
+                         "--search-cap", "3", "--format", "json")
+    assert status == 0
+    payload = json.loads(out)
+    assert payload["glob_mode"] == {"kind": "search_lower_bound", "cap": 3, "unknowns": 31}
+    assert payload["rows"][-1] == {"B": 16, "n_loc": 38, "n_glob": 7, "n_ce": 31,
+                                   "ratio_ce_loc": 0.815789}
+
+
 def test_count_matches_library(capsys):
     from hasseknot import biquad, count as count_mod
     series = count_mod.count_series(biquad.BiquadField(13, 17), 32,
@@ -186,6 +221,31 @@ def test_fit(capsys):
     assert status == 0
     payload = json.loads(out)
     assert set(payload) == {"c_hat", "e_hat", "residual"}
+
+
+def test_fit_glob_is_half_of_loc_under_the_half_rule(capsys):
+    # with the -1 hypothesis n_glob = n_loc / 2 exactly, so the glob fit has
+    # half the loc c_hat, the same e_hat and the same residual
+    field = ("--a", "13", "--b", "17", "--bound", "1024", "--minus-one-generates",
+             "--format", "json")
+    fits = {}
+    for which in ("loc", "glob"):
+        status, out, _ = run(capsys, "fit", *field, "--which", which)
+        assert status == 0
+        fits[which] = json.loads(out)
+    loc, glob = fits["loc"], fits["glob"]
+    assert math.isclose(glob["c_hat"], loc["c_hat"] / 2, rel_tol=1e-9)
+    assert math.isclose(glob["c_hat"], 0.965295290718963, rel_tol=1e-9)
+    assert math.isclose(glob["e_hat"], loc["e_hat"], rel_tol=1e-9)
+    assert math.isclose(glob["e_hat"], 2.459943618232579, rel_tol=1e-9)
+    assert math.isclose(glob["residual"], loc["residual"], rel_tol=1e-9)
+
+
+def test_selftest_passes(capsys):
+    status, out, _ = run(capsys, "selftest")
+    assert status == 0
+    lines = out.splitlines()
+    assert len(lines) == 4 and all(line.startswith("PASS  ") for line in lines), out
 
 
 def test_fit_loc_runs_no_search(capsys, monkeypatch):
