@@ -243,19 +243,6 @@ def norm_form_eval(F: BiquadField, coords) -> Fraction:
     return A * A - a * B * B
 
 
-def mul_coords(F: BiquadField, x, y) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Ring product of two elements in the basis {1, sqrt a, sqrt b, sqrt ab}."""
-    x0, x1, x2, x3 = (Fraction(c) for c in x)
-    y0, y1, y2, y3 = (Fraction(c) for c in y)
-    a, b = F.a, F.b
-    return (
-        x0 * y0 + a * x1 * y1 + b * x2 * y2 + a * b * x3 * y3,
-        x0 * y1 + x1 * y0 + b * (x2 * y3 + x3 * y2),
-        x0 * y2 + x2 * y0 + a * (x1 * y3 + x3 * y1),
-        x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1,
-    )
-
-
 # --- certificate search -----------------------------------------------------
 #
 # Coordinates (n0, n1, n2, n3)/q are enumerated over shells
@@ -278,11 +265,13 @@ def mul_coords(F: BiquadField, x, y) -> tuple[Fraction, Fraction, Fraction, Frac
 # coeff = (1 + |b|)^2 ((1 + |a|)^2 + 4|a|).  Past the radius r64 where
 # coeff * r^4 <= 2^63 - 1 the search is refused.
 #
-# _shell_search and the negative-norm witness walk the shells in the windows
-# (0, 1], (1, 2], (2, 4], ..., (c/2, min(cap, r64)] of _windows and get each
-# window's hits grouped by shell, as {r: points}.  _shell_search takes them
-# from whichever of two hit-finders _window_hits estimates cheaper; both
-# find the same points, so the choice changes only the time.
+# _shell_search walks the shells in the windows (0, 1], (1, 2], (2, 4], ...,
+# (c/2, min(cap, r64)] of _windows and gets each window's hits grouped by
+# shell, as {r: points}; the negative-norm witness scans the same shells one
+# at a time, as windows (r - 1, r], and stops at the first with a hit.
+# _shell_search takes the hits from whichever of two hit-finders
+# _window_hits estimates cheaper; both find the same points, so the choice
+# changes only the time.
 #
 # - The block scan, _scan, which also serves the witness, evaluates every
 #   cone point of the window (lo, hi]: the box of shell hi, (hi + 1)^3
@@ -699,11 +688,15 @@ def negative_norm_witness(F: BiquadField, cap: int) -> NormCertificate | None:
 
     The sign of the norm ignores the denominator, so only q = 1 is scanned;
     a q > 1 witness would be preceded by its integral version anyway, and
-    with q = 1 every point of the first shell with a hit is primitive."""
+    with q = 1 every point of the first shell with a hit is primitive.
+    Most points have a negative norm once any does, so the shells of each
+    window are scanned one at a time and the first with a hit ends the
+    search."""
     for lo, hi in _windows(F, cap):
-        hits = _scan(F, lo, hi, lambda N: N < 0)
-        if hits:
-            return _least(F, [(1, n, None) for *n, _ in hits[min(hits)]])[1]
+        for r in range(lo + 1, hi + 1):
+            hits = _scan(F, r - 1, r, lambda N: N < 0)
+            if hits:
+                return _least(F, [(1, n, None) for *n, _ in hits[r]])[1]
     return None
 
 

@@ -12,14 +12,17 @@ irreducible factors.  That stage draws from a generator seeded
 deterministically from (p, f), so repeated runs factor identically.
 
 `degree_patterns` gives the factor degrees of a squarefree reduction at many
-primes at once, in numpy int64, from the Frobenius (Berlekamp) matrix; the
-prime census and the ideal-norm counts run on it.
+primes at once, in numpy int64, from the Frobenius (Berlekamp) matrix Q; the
+prime census and the ideal-norm counts run on it.  tr(Q^k) mod p counts the
+roots of f in F_(p^k), which is sum of d c_d over the degrees d dividing k
+for c_d factors of degree d, and Moebius inversion recovers the c_d.  The
+count is at most deg f, so it is exact for p > deg f; the few primes
+p <= deg f, where it is known only mod p, go through `degree_pattern`.
 """
 
 from __future__ import annotations
 
 import random
-from math import gcd
 
 import numpy as np
 
@@ -293,22 +296,18 @@ def _matmul_rows(A: np.ndarray, B: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out % p
 
 
-def _rank_rows(M: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Rank mod p of each matrix of the stack M, p of shape (P, 1, 1), by
-    fraction-free elimination: row_i <- pivot * row_i - M[i, c] * pivot_row
-    clears column c everywhere, the pivot row included, so no inverse is
-    needed and each pivot found adds one to the rank."""
-    rows = np.arange(len(M))
-    rank = np.zeros(len(M), dtype=np.int64)
-    for c in range(M.shape[2]):
-        col = M[:, :, c]
-        nonzero = col != 0
-        found = nonzero.any(axis=1)
-        r = nonzero.argmax(axis=1)
-        pivot = np.where(found, col[rows, r], 1)  # 1 leaves a zero column as it is
-        M = (pivot[:, None, None] * M % p - col[:, :, None] * M[rows, r][:, None, :] % p) % p
-        rank += found
-    return rank
+def _trace_of_product(A: np.ndarray, B: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """tr(A @ B) mod p for stacks of n x n matrices, p of shape (P, 1, 1)."""
+    return (A * B.transpose(0, 2, 1) % p).sum(axis=(1, 2)) % p[:, 0, 0]
+
+
+def _mobius(n: int) -> list[int]:
+    """[mu(0) = 0, mu(1), ..., mu(n)]."""
+    mu = [0, 1] + [0] * (n - 1)
+    for d in range(1, n + 1):
+        for m in range(2 * d, n + 1, d):
+            mu[m] -= mu[d]
+    return mu
 
 
 def degree_patterns(coeffs, primes: np.ndarray) -> np.ndarray:
@@ -321,12 +320,15 @@ def degree_patterns(coeffs, primes: np.ndarray) -> np.ndarray:
 
     x^p mod (f, p) comes from square-and-multiply over all primes at once.
     The Frobenius matrix Q has the columns (x^p)^i mod f, and F_p[x]/f is the
-    product of the fields F_(p^d) over the factor degrees d, where Q^k fixes
-    the subfield F_(p^gcd(k, d)).  So dim ker(Q^k - I) = sum_d c_d gcd(k, d)
-    for k = 1..n, with c_d the count of degree-d factors.  The matrix
-    (gcd(k, d)) is invertible (Smith: its determinant is prod phi(k)):
-    gcd(k, d) is the sum of phi(e) over the common divisors e of k and d, so
-    peeling off the divisors of k, then the multiples of d, recovers c."""
+    product of the fields F_(p^d) over the factor degrees d.  Q^k is the
+    p^k-power map, so its trace counts the roots of f in F_(p^k): mod p,
+    tr(Q^k) = N_k = sum of d c_d over the d dividing k, with c_d the count of
+    degree-d factors, and Moebius inversion gives d c_d = sum of
+    mu(d/e) N_e over the e dividing d.  N_k is at most n = deg f, so the
+    trace mod p is N_k itself when p > n; tr(Q^k) for k = 1..n is read off
+    the powers Q^1..Q^ceil(n/2) as tr(Q^i Q^j).  At the primes p <= n, where
+    N_k is known only mod p (tr(Q) = 0 for x^p - x at p), the counts come one
+    prime at a time from `degree_pattern`."""
     f = [int(c) for c in coeffs]
     n = len(f) - 1
     if n < 1 or f[-1] != 1:
@@ -334,37 +336,37 @@ def degree_patterns(coeffs, primes: np.ndarray) -> np.ndarray:
     primes = np.asarray(primes, dtype=np.int64)
     if primes.size and (primes.min() < 2 or primes.max() >= arith.RESIDUE_BOUND):
         raise DomainError(f"degree_patterns needs primes in 2..{arith.RESIDUE_BOUND - 1}")
-    p = primes[:, None]
-    x_n = np.stack([arith.residues(-c, primes) for c in f[:-1]], axis=1)
+    counts = np.zeros((len(primes), n), dtype=np.int64)
+    small = primes <= n
+    for i in np.flatnonzero(small):
+        for _, d in degree_pattern(f, int(primes[i])):
+            counts[i, d - 1] += 1
+    large = primes[~small]
+    p = large[:, None]
+    x_n = np.stack([arith.residues(-c, large) for c in f[:-1]], axis=1)
     powers = [x_n]  # x^n, ..., x^(2n-2) mod (f, p)
     for _ in range(n - 2):
         powers.append(_times_x(powers[-1], x_n, p))
     xn = np.stack(powers, axis=1)[:, :n - 1]
-    xp = np.zeros((len(primes), n), dtype=np.int64)  # x^p by binary powering
+    xp = np.zeros((len(large), n), dtype=np.int64)  # x^p by binary powering
     xp[:, 0] = 1
-    for bit in range(int(primes.max(initial=0)).bit_length() - 1, -1, -1):
+    for bit in range(int(large.max(initial=0)).bit_length() - 1, -1, -1):
         xp = _mul_rows(xp, xp, xn, p)
-        xp = np.where((primes >> bit & 1)[:, None] == 1, _times_x(xp, x_n, p), xp)
-    Q = np.zeros((len(primes), n, n), dtype=np.int64)
+        xp = np.where((large >> bit & 1)[:, None] == 1, _times_x(xp, x_n, p), xp)
+    Q = np.zeros((len(large), n, n), dtype=np.int64)
     Q[:, 0, 0] = 1
     for i in range(1, n):
         Q[:, :, i] = _mul_rows(Q[:, :, i - 1], xp, xn, p)
-    p3 = primes[:, None, None]
-    eye = np.eye(n, dtype=np.int64)
-    dims = np.zeros((len(primes), n + 1), dtype=np.int64)  # dims[:, k], k = 1..n
-    Qk = Q
-    for k in range(1, n + 1):
-        dims[:, k] = n - _rank_rows((Qk - eye) % p3, p3)
-        if k < n:
-            Qk = _matmul_rows(Qk, Q, p3)
-    phi = [0] + [sum(gcd(i, e) == 1 for i in range(1, e + 1)) for e in range(1, n + 1)]
-    counts = dims  # in place: first N_e, the factors whose degree e divides
-    for e in range(1, n + 1):
-        for j in range(1, e):
-            if e % j == 0:
-                counts[:, e] -= phi[j] * counts[:, j]
-        counts[:, e] //= phi[e]
-    for d in range(n, 0, -1):
-        for m in range(2 * d, n + 1, d):
-            counts[:, d] -= counts[:, m]
-    return counts[:, 1:]
+    p3 = large[:, None, None]
+    half = (n + 1) // 2
+    Qk = [Q]  # Q^1, ..., Q^half
+    for _ in range(half - 1):
+        Qk.append(_matmul_rows(Qk[-1], Q, p3))
+    N = [None] + [np.trace(Qk[k - 1], axis1=1, axis2=2) % large if k <= half
+                  else _trace_of_product(Qk[-1], Qk[k - half - 1], p3)
+                  for k in range(1, n + 1)]
+    mu = _mobius(n)
+    for d in range(1, n + 1):
+        counts[~small, d - 1] = sum(mu[d // e] * N[e] for e in range(1, d + 1)
+                                    if d % e == 0) // d
+    return counts

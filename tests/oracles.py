@@ -163,6 +163,20 @@ def local_report_by_symbols(F, t):
     return all(pv.local_norm for pv in report), report
 
 
+def mul_coords(F, x, y) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Ring product of two elements of the biquadratic field F in the basis
+    {1, sqrt a, sqrt b, sqrt ab}, multiplied out by hand."""
+    x0, x1, x2, x3 = (Fraction(c) for c in x)
+    y0, y1, y2, y3 = (Fraction(c) for c in y)
+    a, b = F.a, F.b
+    return (
+        x0 * y0 + a * x1 * y1 + b * x2 * y2 + a * b * x3 * y3,
+        x0 * y1 + x1 * y0 + b * (x2 * y3 + x3 * y2),
+        x0 * y2 + x2 * y0 + a * (x1 * y3 + x3 * y1),
+        x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1,
+    )
+
+
 def local_tables_by_prime(F, B: int):
     """count.local_tables as one Python iteration per prime up to B: the
     bits and the bad flag of each prime from per-prime `arith.hilbert` and

@@ -13,8 +13,8 @@ from hasseknot.arith import INFINITE_PLACE, Place
 from hasseknot.biquad import BiquadField, SearchConfig
 from hasseknot.errors import ConfigError, DegenerateFieldError, DomainError
 
-from oracles import (is_square_mod_p_bruteforce, local_report_by_symbols, scan_by_faces,
-                     shell_search_by_faces)
+from oracles import (is_square_mod_p_bruteforce, local_report_by_symbols, mul_coords,
+                     scan_by_faces, shell_search_by_faces)
 
 F1317 = BiquadField(13, 17)
 F35 = BiquadField(3, 5)
@@ -224,7 +224,7 @@ def test_norm_multiplicative_under_ring_product():
     for _ in range(60):
         x = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4))
         y = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4))
-        xy = biquad.mul_coords(F1317, x, y)
+        xy = mul_coords(F1317, x, y)
         assert biquad.norm_form_eval(F1317, xy) == \
             biquad.norm_form_eval(F1317, x) * biquad.norm_form_eval(F1317, y)
 

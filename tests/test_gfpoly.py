@@ -141,14 +141,30 @@ def test_degree_patterns_match_degree_pattern():
 
 
 def test_degree_patterns_random_degrees():
-    # degrees 6..9 have more divisors for the gcd inversion to peel off
+    # degrees 6..9 have more divisors for the Moebius inversion of the traces
     rng = random.Random(606)
+    small = 0
     for _ in range(12):
         coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(6, 9))] + [1]
         disc = poly_discriminant(coeffs)
         primes = [p for p in arith.sieve_primes(1500) + TOP_PRIMES if disc % p]
+        small += sum(p < len(coeffs) for p in primes)
         for p, pattern in zip(primes, _patterns_as_pairs(coeffs, primes)):
             assert pattern == gfpoly.degree_pattern(coeffs, p), (coeffs, p)
+    assert small > 0  # some prime p <= deg f, where the trace is known only mod p
+
+
+def test_degree_patterns_where_the_trace_is_blind(monkeypatch):
+    # f = x^p - x splits into p linear factors mod p, so N_1 = p and tr(Q) = 0
+    scalar = []
+    degree_pattern = gfpoly.degree_pattern
+    monkeypatch.setattr(gfpoly, "degree_pattern",
+                        lambda f, p: scalar.append(p) or degree_pattern(f, p))
+    for coeffs, p in (((0, -1, 0, 1), 3), ((0, 1, 1), 2)):
+        got = gfpoly.degree_patterns(coeffs, np.array([p, 101], dtype=np.int64))
+        assert got[0].tolist() == [p] + [0] * (len(coeffs) - 2), (coeffs, p)
+        assert _patterns_as_pairs(coeffs, [p]) == [degree_pattern(coeffs, p)]
+    assert scalar == [3, 3, 2, 2]
 
 
 def test_degree_patterns_domain():

@@ -174,6 +174,15 @@ def test_census_pins_at_2000():
     assert rows[-3:] == [(500, 177), (1000, 330), (2000, 619)]
 
 
+def test_census_pins_at_10_5_for_degrees_3_to_5():
+    pins = {(-2, 0, 0, 1): (6365, 9590),            # x^3 - 2
+            (1, 0, 0, 0, 1): (2384, 9591),          # x^4 + 1
+            (5, 0, 0, 0, 0, 1): (7675, 9591),       # x^5 + 5
+            (7, -3, 0, 0, 0, 1): (7705, 9589)}      # x^5 - 3x + 7
+    for poly, want in pins.items():
+        assert numfield.delta_K_estimate(NumberField(poly), 10 ** 5)[:2] == want, poly
+
+
 def test_census_blocks_split_mid_range(monkeypatch):
     K = NumberField(QUARTIC_13_17.poly,
                     overrides=biquad.override_table_for(biquad.BiquadField(13, 17)))
