@@ -17,7 +17,10 @@ prime census and the ideal-norm counts run on it.  tr(Q^k) mod p counts the
 roots of f in F_(p^k), which is sum of d c_d over the degrees d dividing k
 for c_d factors of degree d, and Moebius inversion recovers the c_d.  The
 count is at most deg f, so it is exact for p > deg f; the few primes
-p <= deg f, where it is known only mod p, go through `degree_pattern`.
+p <= deg f, where it is known only mod p, go through `degree_pattern`.  Its
+polynomial and matrix products are int64 matrix products that reduce mod p
+only where the next sum could overflow, which at census primes is once per
+sum (delayed modular reduction).
 """
 
 from __future__ import annotations
@@ -269,36 +272,61 @@ def factor(coeffs, p: int) -> list[tuple[list[int], int]]:
     return out
 
 
-def _mul_rows(a: np.ndarray, b: np.ndarray, xn: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _room(top: int) -> int:
+    """How many products of two residues mod primes up to `top` can be added
+    to a residue with the sum still below 2^63; at least 2 for top < 2^31."""
+    return (2 ** 63 - 1 - top) // (top - 1) ** 2
+
+
+def _dot(a: np.ndarray, b: np.ndarray, p: np.ndarray, room: int,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """(out + a @ b) mod p for stacks of residue matrices, out a residue
+    array that is updated in place, or zero if omitted (then a must have a
+    column).  The inner products are summed `room` terms at a time onto the
+    residue, so in int64 with room = _room(max p) no sum overflows."""
+    for j in range(0, a.shape[-1], room):
+        term = a[..., j:j + room] @ b[..., j:j + room, :]
+        if out is None:
+            out = term
+        else:
+            out += term
+        out %= p
+    return out
+
+
+def _mul_rows(a: np.ndarray, b: np.ndarray, xn: np.ndarray, p: np.ndarray,
+              room: int) -> np.ndarray:
     """Row-wise a*b mod (f, p) for residues a, b of shape (P, n); xn[:, j]
-    holds x^(n+j) mod (f, p) for j < n - 1 and p has shape (P, 1)."""
+    holds x^(n+j) mod (f, p) for j < n - 1 and p has shape (P, 1, 1).
+
+    With b padded by n - 1 zeros on each side, coefficient k of a*b is the
+    sum of a[n - 1 - j] * padded[j + k]: reversed a times a Hankel matrix,
+    which is a strided view of the padded rows.  The terms of degree >= n
+    fold back through xn."""
     n = a.shape[1]
-    prod = np.zeros((a.shape[0], 2 * n - 1), dtype=np.int64)
-    for i in range(n):
-        prod[:, i:i + n] += a[:, i:i + 1] * b % p
-    prod %= p
-    high = prod[:, n:, None] * xn % p[:, :, None]
-    return (prod[:, :n] + high.sum(axis=1)) % p
+    padded = np.zeros((a.shape[0], 3 * n - 2), dtype=np.int64)
+    padded[:, n - 1:2 * n - 1] = b
+    row, col = padded.strides
+    # np.ndarray over the buffer, not as_strided: the Python objects that
+    # as_strided makes on every call raised the census's peak RSS by 1.5 MB
+    hankel = np.ndarray((a.shape[0], n, 2 * n - 1), np.int64, padded, 0, (row, col, col))
+    prod = _dot(a[:, None, ::-1], hankel, p, room)
+    return _dot(prod[:, :, n:], xn, p, room, out=prod[:, :, :n])[:, 0]
 
 
 def _times_x(a: np.ndarray, x_n: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Row-wise x*a mod (f, p), where x_n holds x^n mod (f, p)."""
+    """Row-wise x*a mod (f, p), where x_n holds x^n mod (f, p); one product
+    plus one residue always has room."""
     shifted = np.zeros_like(a)
     shifted[:, 1:] = a[:, :-1]
-    return (shifted + a[:, -1:] * x_n % p) % p
+    return (shifted + a[:, -1:] * x_n) % p
 
 
-def _matmul_rows(A: np.ndarray, B: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """A @ B mod p for stacks of n x n matrices, p of shape (P, 1, 1)."""
-    out = np.zeros_like(A)
-    for j in range(A.shape[2]):
-        out += A[:, :, j, None] * B[:, None, j, :] % p
-    return out % p
-
-
-def _trace_of_product(A: np.ndarray, B: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _trace_of_product(A: np.ndarray, B: np.ndarray, p: np.ndarray, room: int) -> np.ndarray:
     """tr(A @ B) mod p for stacks of n x n matrices, p of shape (P, 1, 1)."""
-    return (A * B.transpose(0, 2, 1) % p).sum(axis=(1, 2)) % p[:, 0, 0]
+    P, n = A.shape[:2]
+    return _dot(A.reshape(P, 1, n * n), B.transpose(0, 2, 1).reshape(P, n * n, 1),
+                p, room)[:, 0, 0]
 
 
 def _mobius(n: int) -> list[int]:
@@ -314,9 +342,17 @@ def degree_patterns(coeffs, primes: np.ndarray) -> np.ndarray:
     """Degree counts of the irreducible factors of monic integer f mod every
     prime of the int64 array `primes`: out[i, d - 1] is the number of degree-d
     factors mod primes[i].  Every prime must be below arith.RESIDUE_BOUND =
-    2^31, as every product of two residues is reduced mod p in int64 before
-    it is summed, and f must be squarefree mod it (p not dividing the
-    discriminant of f).
+    2^31, where _room is at least 2, and f must be squarefree mod it (p not
+    dividing the discriminant of f).
+
+    The residue products are summed unreduced while int64 has room (delayed
+    reduction): with top the largest of the primes, room = _room(top) =
+    floor((2^63 - 1 - top) / (top - 1)^2) products, each at most (top - 1)^2,
+    added onto a residue stay below 2^63, so `_dot` reduces mod p once per
+    `room` terms of every sum.  No int64 sum wraps, and a sum reduced once
+    has the same residue as one reduced term by term, so the result is exact.
+    room is 2 just below 2^31 and about 9 * 10^6 at p <= 10^6, where every
+    sum of fewer terms than that goes through `%` once.
 
     x^p mod (f, p) comes from square-and-multiply over all primes at once.
     The Frobenius matrix Q has the columns (x^p)^i mod f, and F_p[x]/f is the
@@ -342,7 +378,8 @@ def degree_patterns(coeffs, primes: np.ndarray) -> np.ndarray:
         for _, d in degree_pattern(f, int(primes[i])):
             counts[i, d - 1] += 1
     large = primes[~small]
-    p = large[:, None]
+    room = _room(int(large.max(initial=2)))
+    p, p3 = large[:, None], large[:, None, None]
     x_n = np.stack([arith.residues(-c, large) for c in f[:-1]], axis=1)
     powers = [x_n]  # x^n, ..., x^(2n-2) mod (f, p)
     for _ in range(n - 2):
@@ -351,19 +388,18 @@ def degree_patterns(coeffs, primes: np.ndarray) -> np.ndarray:
     xp = np.zeros((len(large), n), dtype=np.int64)  # x^p by binary powering
     xp[:, 0] = 1
     for bit in range(int(large.max(initial=0)).bit_length() - 1, -1, -1):
-        xp = _mul_rows(xp, xp, xn, p)
+        xp = _mul_rows(xp, xp, xn, p3, room)
         xp = np.where((large >> bit & 1)[:, None] == 1, _times_x(xp, x_n, p), xp)
     Q = np.zeros((len(large), n, n), dtype=np.int64)
     Q[:, 0, 0] = 1
     for i in range(1, n):
-        Q[:, :, i] = _mul_rows(Q[:, :, i - 1], xp, xn, p)
-    p3 = large[:, None, None]
+        Q[:, :, i] = _mul_rows(Q[:, :, i - 1], xp, xn, p3, room)
     half = (n + 1) // 2
     Qk = [Q]  # Q^1, ..., Q^half
     for _ in range(half - 1):
-        Qk.append(_matmul_rows(Qk[-1], Q, p3))
+        Qk.append(_dot(Qk[-1], Q, p3, room))
     N = [None] + [np.trace(Qk[k - 1], axis1=1, axis2=2) % large if k <= half
-                  else _trace_of_product(Qk[-1], Qk[k - half - 1], p3)
+                  else _trace_of_product(Qk[-1], Qk[k - half - 1], p3, room)
                   for k in range(1, n + 1)]
     mu = _mobius(n)
     for d in range(1, n + 1):

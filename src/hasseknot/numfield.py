@@ -362,12 +362,15 @@ def in_P_K(K: NumberField, p: int) -> bool:
 def delta_K_estimate(K: NumberField, X: int) -> tuple[int, int, Fraction]:
     """Empirical density of primes p <= X (p not dividing disc_poly) whose
     residue degrees have gcd 1.  Returns (hits, total, hits/total).
-    DomainError for X < 100 and, before the sieve, for X >= 2^31."""
+    DomainError for X < 100, before the sieve for X >= 2^31, and when every
+    prime p <= X divides disc_poly."""
     if X < 100:
         raise DomainError("need X >= 100 for a meaningful census")
     _check_census_bound("X", X)
     primes = np.array(arith.sieve_primes(X), dtype=np.int64)
     primes = primes[arith.residues(K.disc_poly, primes) != 0]
+    if not len(primes):
+        raise DomainError(f"no prime <= {X} outside disc_poly")
     hits, total = int((_residue_gcds(K, primes) == 1).sum()), len(primes)
     return hits, total, Fraction(hits, total)
 

@@ -161,6 +161,16 @@ def test_delta(capsys):
     assert 0.4 < payload["estimate"] < 0.6
 
 
+def test_delta_with_no_census_prime_left(capsys):
+    # x^2 - P, P the product of the primes <= 100
+    status, out, err = run(capsys, "delta", "--poly",
+                           "-2305567963945518424753102147331756070,0,1", "--limit", "100")
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error:") and "no prime <= 100" in err
+    assert len(err.splitlines()) == 1, err
+
+
 def test_number_fields_with_large_coefficients(capsys):
     # Q(sqrt 1000003, sqrt 1000033) leaves a degree-2 factor search; x^2 + 10^30 + 1
     # has a 31-digit constant term
@@ -418,6 +428,8 @@ _argv = st.one_of(
 # from int64 shells to the refusal (r53 = 0, r64 = 5)
 @example(["global", "--a", "1009", "--b", "1013", "--t", "4", "--cap", "12"])
 @example(["global", "--a", "9973", "--b", "9967", "--t", "4", "--cap", "12"])
+# every prime <= 100 divides disc_poly
+@example(["delta", "--poly", "-2305567963945518424753102147331756070,0,1", "--limit", "100"])
 def test_fuzz_exit_codes(argv):
     assert cli.dispatch(argv) in (0, 1, 2, 3), argv
 

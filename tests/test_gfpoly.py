@@ -126,6 +126,7 @@ TOP_PRIMES = [2147483629, 2147483647]
 
 def _patterns_as_pairs(coeffs, primes):
     counts = gfpoly.degree_patterns(coeffs, np.array(primes, dtype=np.int64))
+    assert ((0 <= counts) & (counts < len(coeffs))).all()  # before expanding them
     return [sorted((1, d + 1) for d, c in enumerate(row) for _ in range(c))
             for row in counts.tolist()]
 
@@ -152,6 +153,39 @@ def test_degree_patterns_random_degrees():
         for p, pattern in zip(primes, _patterns_as_pairs(coeffs, primes)):
             assert pattern == gfpoly.degree_pattern(coeffs, p), (coeffs, p)
     assert small > 0  # some prime p <= deg f, where the trace is known only mod p
+
+
+def _primes_below(top, count):
+    out = []
+    while len(out) < count:
+        if arith.is_prime(top):
+            out.append(top)
+        top -= 1
+    return out[::-1]
+
+
+def test_degree_patterns_in_every_room_regime():
+    # the kernel sums up to _room(largest prime) products before it reduces:
+    # 2, 3 and 4 in blocks just below these tops, millions at 2^20
+    rng = random.Random(2020)
+    for top, room in ((2 ** 31 - 1, 2), (1_650_000_000, 3), (1_450_000_000, 4),
+                      (2 ** 20, None)):
+        primes = _primes_below(top, 30)
+        if room:
+            assert gfpoly._room(primes[-1]) == room
+        else:
+            assert gfpoly._room(primes[-1]) > 10 ** 6
+        for n in range(4, 10):
+            coeffs = [rng.randint(-50, 50) for _ in range(n)] + [1]
+            disc = poly_discriminant(coeffs)
+            block = [p for p in primes if disc % p]
+            assert len(block) > 25
+            got = gfpoly.degree_patterns(coeffs, np.array(block, dtype=np.int64))
+            for p, row in zip(block, got.tolist()):
+                want = [0] * n
+                for _, d in gfpoly.degree_pattern(coeffs, p):
+                    want[d - 1] += 1
+                assert row == want, (coeffs, p)
 
 
 def test_degree_patterns_where_the_trace_is_blind(monkeypatch):

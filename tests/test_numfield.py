@@ -183,6 +183,20 @@ def test_census_pins_at_10_5_for_degrees_3_to_5():
         assert numfield.delta_K_estimate(NumberField(poly), 10 ** 5)[:2] == want, poly
 
 
+def test_census_pin_at_degree_12():
+    # x^12 + 2, the highest degree pinned: the kernel's products have n^2 terms
+    x12_2 = NumberField((2,) + (0,) * 11 + (1,))
+    assert numfield.delta_K_estimate(x12_2, 10 ** 4)[:2] == (303, 1227)
+
+
+def test_census_with_no_prime_left():
+    # x^2 - P, P the product of the primes <= 100: each of them divides disc_poly
+    K = NumberField((-math.prod(arith.sieve_primes(100)), 0, 1))
+    with pytest.raises(DomainError, match="no prime <= 100"):
+        numfield.delta_K_estimate(K, 100)
+    assert numfield.delta_K_estimate(K, 200)[1] == 21  # the primes 101..199
+
+
 def test_census_blocks_split_mid_range(monkeypatch):
     K = NumberField(QUARTIC_13_17.poly,
                     overrides=biquad.override_table_for(biquad.BiquadField(13, 17)))
