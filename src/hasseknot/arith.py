@@ -9,7 +9,6 @@ of its square class, so the symbols run on Python ints only.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,19 +23,25 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3317044064679887385961981
 
 
-def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit by a bytearray sieve of Eratosthenes."""
+def sieve_primes(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending, as an int64 array: a sieve of
+    Eratosthenes over the odd numbers in a numpy bool array, entry i
+    standing for 2i + 1."""
     if limit < 2:
-        return []
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p:: p] = b"\x00" * len(range(p * p, limit + 1, p))
-    return list(itertools.compress(range(limit + 1), flags))
+        return np.zeros(0, dtype=np.int64)
+    odd = np.ones((limit + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2::p] = False  # the odd multiples of p from p^2
+    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
+    primes *= 2  # in place: no second array of the primes' size
+    primes += 1
+    primes[0] = 2  # entry 0 stands for 1, which is not prime; 2 takes its place
+    return primes
 
 
-_TRIAL_PRIMES = tuple(sieve_primes(1 << 10))  # trial divisors of _factor_positive
+_TRIAL_PRIMES = tuple(sieve_primes(1 << 10).tolist())  # trial divisors of _factor_positive
 
 
 def prime_power_multiples(B: int, primes: np.ndarray):

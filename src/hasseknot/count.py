@@ -113,11 +113,26 @@ class LocalTables:
 
 
 def _legendre(q: int, primes: np.ndarray) -> np.ndarray:
-    """(p|q) as +-1 int8 for the odd prime q at each odd prime p != q of
-    `primes`, all below arith.RESIDUE_BOUND.
+    """(p|q) as +-1 int8 for the odd prime q at each odd prime p != q of the
+    ascending int64 array `primes`, all below arith.RESIDUE_BOUND.
 
-    By reciprocity (p|q) is (q|p), negated when p = q = 3 mod 4, and (q|p)
-    is Euler's criterion on q mod p, exact in int64 however large q is."""
+    Two exact paths, chosen by q against the largest of `primes` alone:
+    - q at most that prime, as for the small radicand primes of a count up
+      to B: a table of the nonzero squares mod q, i^2 mod q for
+      i = 1..(q - 1) / 2, read at p mod q, which is nonzero as p != q.
+      i^2 < q^2 < 2^62 is exact in int64.  The table takes q <= B bytes
+      and its squares 4q bytes while it is built, below the 8 bytes per
+      integer of the local tables; this path is one pass over `primes`.
+    - q above it, of any size (q = 2^89 - 1, say), where no table of q
+      entries is affordable: by reciprocity (p|q) is (q|p), negated when
+      p = q = 3 mod 4, and (q|p) is Euler's criterion on q mod p, exact in
+      int64 as every product of two residues is below 2^62, about log2 p
+      modular-multiply passes over `primes`."""
+    if primes.size and q <= primes[-1]:
+        i = np.arange(1, q // 2 + 1, dtype=np.int64)
+        square = np.zeros(q, dtype=bool)
+        square[i * i % q] = True
+        return np.where(square[primes % q], 1, -1).astype(np.int8)
     r = arith.residues(q, primes)
     e, s = primes >> 1, np.ones_like(primes)  # s = r^((p - 1) / 2) mod p at the end
     while e.any():
@@ -155,7 +170,7 @@ def local_tables(F: biquad.BiquadField, B: int) -> LocalTables:
     bit_places = F.bit_places
     if len(bit_places) > 63:
         raise DomainError(f"{len(bit_places)} profile bits exceed the 63 of an int64")
-    primes = np.array(arith.sieve_primes(B), dtype=np.int64)
+    primes = arith.sieve_primes(B)
     fixed = [v for v, _ in F.survey[1:]]  # the places 2 and q | ab
     at_fixed = np.isin(primes, sorted(F.ramified_support))
     gen = primes[~at_fixed]  # the primes outside 2ab

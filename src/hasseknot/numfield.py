@@ -367,7 +367,7 @@ def delta_K_estimate(K: NumberField, X: int) -> tuple[int, int, Fraction]:
     if X < 100:
         raise DomainError("need X >= 100 for a meaningful census")
     _check_census_bound("X", X)
-    primes = np.array(arith.sieve_primes(X), dtype=np.int64)
+    primes = arith.sieve_primes(X)
     primes = primes[arith.residues(K.disc_poly, primes) != 0]
     if not len(primes):
         raise DomainError(f"no prime <= {X} outside disc_poly")
@@ -402,7 +402,7 @@ def count_ideal_norms(K: NumberField, B: int, levels: int | None = None
     """
     grid = doubling_grid(B, levels)
     _check_census_bound("B", B)
-    primes = np.array(arith.sieve_primes(B), dtype=np.int64)
+    primes = arith.sieve_primes(B)
     g = _residue_gcds(K, primes)
     primes, g = primes[g > 1], g[g > 1]
     off = np.zeros(B + 1, dtype=np.int8)

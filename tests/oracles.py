@@ -199,7 +199,7 @@ def local_tables_by_prime(F, B: int):
     # odd_bad[n]: primes outside the fixed places that do not split in all
     # three subfields and divide n to odd order
     odd_bad = np.zeros(B + 1, dtype=np.int8)
-    primes = arith.sieve_primes(B)
+    primes = arith.sieve_primes(B).tolist()
     for p in primes:
         bits = sum(1 << k for k, (v, d) in enumerate(bit_places)
                    if arith.hilbert(p, d, v) == -1)

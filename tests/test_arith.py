@@ -39,6 +39,8 @@ def test_factorize_large_input():
     n = (10 ** 9 + 7) * (10 ** 9 + 9) * 2 ** 3
     f = arith.factorize(n)
     assert f.factors == ((2, 3), (10 ** 9 + 7, 1), (10 ** 9 + 9, 1))
+    # past 2^64 with trial divisors alone: they must be Python ints
+    assert arith.factorize(2 ** 40 * 3 ** 30 * 1021 ** 2).factors == ((2, 40), (3, 30), (1021, 2))
 
 
 def test_factorize_tests_primality_only_past_trial_division(monkeypatch):
@@ -134,7 +136,7 @@ def test_table_factorize_cross_check():
 
 def test_prime_power_multiples_cover_each_multiple_once():
     for B in (1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122, 1000):
-        every = np.array(arith.sieve_primes(B), dtype=np.int64)
+        every = arith.sieve_primes(B)
         for primes in (every, every[::3]):
             want = sorted((p, k, n) for p in primes.tolist()
                           for k in range(1, B.bit_length() + 1) if p ** k <= B
@@ -262,7 +264,7 @@ def test_is_square_local_matches_reference():
     # is_square_local reads symbol_class; the reference runs its own
     # valuation, mod 8 and Kronecker tests.  Every n/m with |n|, m <= 60,
     # the integers among them as ints, and a few large powers of primes
-    places = [INFINITE_PLACE] + [Place(p) for p in arith.sieve_primes(50)]
+    places = [INFINITE_PLACE] + [Place(p) for p in arith.sieve_primes(50).tolist()]
     values = {Fraction(n, m) for n in range(-60, 61) if n for m in range(1, 61)}
     values = [int(x) if x.denominator == 1 else x for x in values]
     values += [-(2 ** 70), 3 * 2 ** 64, 7 ** 40 * 17, -(2 ** 61 - 1), Fraction(47 ** 9, 2 ** 61 - 1)]
@@ -301,8 +303,20 @@ def test_is_prime_spot_checks():
     assert arith.is_prime(2) and arith.is_prime(10 ** 9 + 7)
     assert not arith.is_prime(1) and not arith.is_prime(561)  # Carmichael
     # trial division alone decides below 41^2 = 1681, which is composite
-    for limit in (0, 1, 2, 3, 1000, 1680, 1681, 1682, 5000):
-        assert arith.sieve_primes(limit) == [n for n in range(limit + 1) if arith.is_prime(n)]
+    for limit in (1680, 1681, 1682, 5000):
+        assert arith.sieve_primes(limit).tolist() == [n for n in range(limit + 1) if arith.is_prime(n)]
+
+
+def test_sieve_primes_is_an_increasing_int64_array():
+    # every limit up to 300, and both sides of the squares of the primes
+    # 31 and 37, where the sieve's last striking prime changes
+    limits = [*range(301), *(p * p + d for p in (31, 37) for d in (-1, 0, 1))]
+    for limit in limits:
+        primes = arith.sieve_primes(limit)
+        assert primes.dtype == np.int64 and primes.ndim == 1
+        assert (np.diff(primes) > 0).all()
+        assert primes.tolist() == [n for n in range(limit + 1) if arith.is_prime(n)], limit
+    assert len(arith.sieve_primes(10 ** 6)) == 78498
 
 
 # The smallest strong pseudoprime to all twelve Miller-Rabin witness bases.
@@ -322,7 +336,7 @@ def test_is_prime_beyond_the_deterministic_witnesses():
 def test_strong_lucas_pseudoprimes():
     # the odd composites below 10^5 that pass the strong Lucas test with
     # Selfridge's parameters (OEIS A217255)
-    primes = set(arith.sieve_primes(10 ** 5))
+    primes = set(arith.sieve_primes(10 ** 5).tolist())
     passing = [n for n in range(3, 10 ** 5, 2)
                if n not in primes and arith._strong_lucas(n)]
     assert passing == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,

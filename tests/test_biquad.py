@@ -50,7 +50,7 @@ def test_local_type_away_from_2ab():
     fields = [(13, 17), (3, 5), (-1, 5), (2, 7), (-3, 13), (-1, -2), (6, 10), (5, -7)]
     for a, b in fields:
         F = BiquadField(a, b)
-        for p in arith.sieve_primes(500):
+        for p in arith.sieve_primes(500).tolist():
             if (2 * F.a * F.b) % p == 0:
                 continue
             classes = (F.a, F.b, F.d3)
@@ -533,7 +533,7 @@ def test_splitting_pairs_against_dedekind():
             continue
     for F in fields:
         K = biquad.defining_quartic(F)
-        for p in arith.sieve_primes(60):
+        for p in arith.sieve_primes(60).tolist():
             pairs = biquad.splitting_pairs(F, p)
             assert sum(e * f for e, f in pairs) == 4
             sd = numfield.splitting_data(K, p)

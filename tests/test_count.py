@@ -61,6 +61,9 @@ def test_local_tables_match_one_shot_test():
 
 def test_local_tables_match_per_prime_oracle():
     cases = [(F, B) for F in NINE_FIELDS for B in (1, 2, 3, 100, 2048, 8192)]
+    # 13 and 17 take their Legendre symbols by Euler's criterion until the
+    # primes outside 2ab reach 19, then from the table of squares
+    cases += [(F1317, B) for B in (12, 13, 16, 17, 18, 19, 23)]
     for F, B in cases + [(WIDE, 200)]:
         got, want = count.local_tables(F, B), local_tables_by_prime(F, B)
         assert np.array_equal(got.ok, want.ok), (F, B)
@@ -68,6 +71,17 @@ def test_local_tables_match_per_prime_oracle():
         assert got.p_minus == want.p_minus, (F, B)
         assert got.bit_places == want.bit_places, (F, B)
         assert np.array_equal(got.primes, want.primes), (F, B)
+
+
+def test_legendre_matches_kronecker_on_both_paths():
+    # the largest prime <= 4096 is 4093: q below it reads the table of
+    # squares mod q, q at or above it (4093 itself is left out of the
+    # primes) and q = 2^89 - 1, past int64, go by Euler's criterion
+    every = arith.sieve_primes(4096)
+    for q in (3, 13, 17, 4079, 4091, 4093, 4099, 4111, 2 ** 89 - 1):
+        primes = every[(every != 2) & (every != q)]
+        want = [arith.kronecker(p, q) for p in primes.tolist()]
+        assert count._legendre(q, primes).tolist() == want, q
 
 
 def test_bit_places_are_the_field_norm_conditions():
@@ -210,7 +224,7 @@ def test_local_tables_profile_width():
     naive = sum(biquad.is_everywhere_local_norm(F, n)[0] for n in range(1, 201))
     assert naive == 14
     assert count.count_integer_norms_local(F, 200)[-1] == (200, naive)
-    odd = arith.sieve_primes(400)[1:]  # 77 primes, 117 bit places
+    odd = arith.sieve_primes(400).tolist()[1:]  # 77 primes, 117 bit places
     with pytest.raises(DomainError):
         count.local_tables(BiquadField(math.prod(odd[0::2]), math.prod(odd[1::2])), 10)
 

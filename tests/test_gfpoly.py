@@ -134,7 +134,7 @@ def _patterns_as_pairs(coeffs, primes):
 def test_degree_patterns_match_degree_pattern():
     for coeffs in CENSUS_POLYS:
         disc = poly_discriminant(coeffs)
-        primes = [p for p in arith.sieve_primes(30000) + TOP_PRIMES if disc % p]
+        primes = [p for p in arith.sieve_primes(30000).tolist() + TOP_PRIMES if disc % p]
         assert len(primes) > 3200
         got = _patterns_as_pairs(coeffs, primes)
         for p, pattern in zip(primes, got):
@@ -148,7 +148,7 @@ def test_degree_patterns_random_degrees():
     for _ in range(12):
         coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(6, 9))] + [1]
         disc = poly_discriminant(coeffs)
-        primes = [p for p in arith.sieve_primes(1500) + TOP_PRIMES if disc % p]
+        primes = [p for p in arith.sieve_primes(1500).tolist() + TOP_PRIMES if disc % p]
         small += sum(p < len(coeffs) for p in primes)
         for p, pattern in zip(primes, _patterns_as_pairs(coeffs, primes)):
             assert pattern == gfpoly.degree_pattern(coeffs, p), (coeffs, p)
