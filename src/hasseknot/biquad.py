@@ -638,13 +638,13 @@ def _shell_search(F: BiquadField, targets: dict[str, Fraction], cap: int
                   ) -> tuple[str, NormCertificate] | None:
     """Search shells 1..cap for the first coords whose norm equals one of the
     target values; returns (label, certificate) for the earliest match in
-    the deterministic order, or None.  Each window of _windows goes through
-    _window_hits; past r64 _windows raises DomainError."""
+    the deterministic order, or None.  _window_hits takes each window of
+    _windows, which refuses past r64, so no q > r64 is mapped."""
     if cap < 1:
         raise DomainError("cap must be >= 1")
     value_map: dict[int, tuple[str, int]] = {}
     for label, tval in targets.items():
-        for q in range(1, cap + 1):
+        for q in range(1, min(cap, _exact_radius(F.a, F.b, 63)) + 1):
             if q ** 4 % tval.denominator == 0:  # tval * q^4 is an integer
                 value_map.setdefault(tval.numerator * (q ** 4 // tval.denominator), (label, q))
     i64max = (1 << 63) - 1

@@ -12,10 +12,11 @@ pairs with matching profiles by Moebius inversion over the common divisor.
 A squarefree d with bad part e(d) has the class histogram of the local
 integers up to B // (d * e(d)), shifted by a profile that the pair count
 ignores, so N_loc only needs that histogram at the O(sqrt B) floor values
-of B, which one bincount gives for every grid level at once.  The global count
-comes from the exact half rule when the knot group is Z/2 generated by -1,
-from equality when the knot group is trivial, and from a certificate-search
-lower bound otherwise.
+of B, which one bincount gives; one Moebius sum per floor value at the top
+level serves every grid level B >> k, as (B >> k) // x = (B // x) >> k.
+The global count comes from the exact half rule when the knot group is Z/2
+generated by -1, from equality when the knot group is trivial, and from a
+certificate-search lower bound otherwise.
 """
 
 from __future__ import annotations
@@ -227,13 +228,13 @@ def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
     profile is that of m / e(d) XOR that of d * e(d).  H_d is thus
     G(B_i // (d * e(d))) with its classes shifted by one profile, where G(v)
     is the class histogram of the passing n <= v, and Q does not change
-    under the shift.  Hence n_loc(B_i) = sum_v M(v) * Q(G(v)), where M(v) is
-    the sum of mu(d) over the squarefree d with B_i // (d * e(d)) = v.
-    Every such v is 0 or a floor value B // x, as the grid is B_i = B >> k.
-    So G is taken at those O(sqrt B) values once for all levels: one
-    bincount of slot(n) * (C + 1) + class(n), slot(n) being the least floor
-    value >= n, then a cumsum over the slots.  Each level counts M by slot.
-    The grid ends at B = tables.bound."""
+    under the shift.  Hence n_loc(B) = sum_u W(u) * Q(G(u)), W(u) summing
+    mu(d) over the squarefree d <= B with B // (d * e(d)) = u, a floor value
+    B // x or 0.  As (B >> k) // x = (B // x) >> k, again such a value, each
+    grid level B >> k (up to B = tables.bound) is sum_u W(u) * Q(G(u >> k));
+    the d > B >> k land at u >> k = 0, where Q is 0.  G is taken at those
+    O(sqrt B) values by one bincount of slot(n) * (C + 1) + class(n), slot(n)
+    the least of them >= n, then a cumsum over the slots."""
     B, ok = tables.bound, tables.ok
     # the classes are the profiles of the local n, sorted among those n alone
     profiles, local_cid = np.unique(tables.profile[ok], return_inverse=True)
@@ -251,7 +252,7 @@ def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
     cells += cid[1:]
     G = np.bincount(cells, minlength=len(floors) * (C + 1)).reshape(-1, C + 1).cumsum(axis=0)
     G[:, C] = 0  # the failing n are in no class
-    del cid, cells  # two int64 arrays of B entries, freed before the level loop
+    del cid, cells  # two int64 arrays of B entries, freed before the Moebius walk
     Q = (G * (G + G[:, partner])).sum(axis=1)
     mu = np.ones(B + 1, dtype=np.int8)
     de = np.arange(B + 1, dtype=np.int64)  # d * e(d) at the squarefree d
@@ -262,14 +263,13 @@ def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
             de[at] *= e[i]
         elif k == 2:
             mu[at] = 0
-    totals = []
-    for Bi in grid:
-        ds = np.flatnonzero(mu[1:Bi + 1]) + 1
-        # M by the slot of each floor value B_i // (d * e(d)); 0 past B_i
-        v, plus = np.searchsorted(floors, Bi // de[ds]), mu[ds] > 0
-        M = np.bincount(v[plus], minlength=len(Q)) - np.bincount(v[~plus], minlength=len(Q))
-        totals.append(int(M @ Q))
-    return totals
+    ds = np.flatnonzero(mu[1:]) + 1
+    # W by the slot of each floor value B // (d * e(d)); slot 0 past B
+    v, plus = np.searchsorted(floors, B // de[ds]), mu[ds] > 0
+    W = np.bincount(v[plus], minlength=len(Q)) - np.bincount(v[~plus], minlength=len(Q))
+    # level B >> k reads slot u at the slot of floors[u] >> k
+    return [int(W @ Q[np.searchsorted(floors, floors >> (B.bit_length() - Bi.bit_length()))])
+            for Bi in grid]
 
 
 def n_loc_series(F: biquad.BiquadField, B: int, levels: int | None = None

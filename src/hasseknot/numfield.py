@@ -384,7 +384,7 @@ def doubling_grid(B: int, levels: int | None) -> list[int]:
         levels = B.bit_length()
     if levels < 1:
         raise DomainError("levels must be >= 1")
-    return sorted({max(1, B >> k) for k in range(levels)})
+    return sorted({B >> k for k in range(min(levels, B.bit_length()))})
 
 
 def count_ideal_norms(K: NumberField, B: int, levels: int | None = None

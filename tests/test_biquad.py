@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -410,6 +411,19 @@ def test_search_at_the_last_int64_shell(monkeypatch, finder):
         assert abs(max(corners, key=abs)) > 2 ** 61
         with pytest.raises(DomainError, match=f"shell {r64 + 1} exceeds"):
             biquad.certificate_search(F, 1 << 70, r64 + 1)
+
+
+def test_search_maps_no_target_past_r64():
+    # r64 = 54 on Q(sqrt 1009, sqrt 1013): the targets t * q^4 of q > 54 lie
+    # on shells past the refusal, so cap 10^6 maps no more of them than 54
+    tracemalloc.start()
+    try:
+        cert = biquad.certificate_search(BiquadField(1009, 1013), 4, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert is not None and cert.coords == (Fraction(19, 18), Fraction(1, 18), 0, 0)
+    assert peak < 20 * 2 ** 20, peak
 
 
 def test_exact_radius_is_the_last_fitting_shell():

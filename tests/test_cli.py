@@ -395,7 +395,8 @@ _counts = st.tuples(
     st.sampled_from([["count-integers"], ["count", "--minus-one-generates"],
                      ["fit", "--which", "loc"]]),
     _field(10 ** 6), _int(-2, 4096).map(lambda B: ["--bound", B]),
-    st.one_of(st.just([]), _int(-1, 14).map(lambda k: ["--levels", k])), _fmt)
+    st.one_of(st.just([]), st.one_of(_int(-1, 14), st.just("1000000000000")).map(
+        lambda k: ["--levels", k])), _fmt)
 # Number fields: the irreducibility search is bounded by its tuple budget,
 # and delta by --limit.
 _poly = st.tuples(st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=1, max_size=6),
@@ -428,6 +429,8 @@ _argv = st.one_of(
 # from int64 shells to the refusal (r53 = 0, r64 = 5)
 @example(["global", "--a", "1009", "--b", "1013", "--t", "4", "--cap", "12"])
 @example(["global", "--a", "9973", "--b", "9967", "--t", "4", "--cap", "12"])
+# a cap far past r64 = 5 is refused without a target map of cap entries
+@example(["global", "--a", "9973", "--b", "9967", "--t", "4", "--cap", "1000000000000"])
 # every prime <= 100 divides disc_poly
 @example(["delta", "--poly", "-2305567963945518424753102147331756070,0,1", "--limit", "100"])
 def test_fuzz_exit_codes(argv):

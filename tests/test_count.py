@@ -93,11 +93,16 @@ def test_bit_places_are_the_field_norm_conditions():
 
 
 def test_n_loc_series_matches_class_search_oracle():
-    # sizes naive_local_count cannot reach; every grid level down to B = 1
-    cases = [(F, B) for F in NINE_FIELDS for B in (1, 2, 3, 100, 2048, 8192)]
+    # sizes naive_local_count cannot reach; every grid level down to B = 1,
+    # each read from the top level's floor values through a shift B >> k
+    cases = [(F, B) for F in NINE_FIELDS for B in (1, 2, 3, 100, 1000, 2048, 8191, 8192)]
     for F, B in cases + [(WIDE, 200)]:
         grid, got = count.n_loc_series(F, B)
         assert got == n_loc_by_class_search(grid, count.local_tables(F, B)), (F, B)
+    # levels past B.bit_length() = 10 add no grid point
+    grid, got = count.n_loc_series(F1317, 1000, 64)
+    assert grid == numfield.doubling_grid(1000, None) == [1, 3, 7, 15, 31, 62, 125, 250, 500, 1000]
+    assert got == n_loc_by_class_search(grid, count.local_tables(F1317, 1000))
 
 
 def test_local_tables_large_radicands():

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -326,3 +327,13 @@ def test_dedekind_index_divisor_field():
 def test_override_rejects_wrong_degree_sum():
     with pytest.raises(DomainError):
         NumberField((1, 0, 1), overrides={3: ((1, 1), (1, 1), (1, 1))})
+
+
+def test_doubling_grid_levels_past_the_bit_length():
+    # past B.bit_length() every level is 1, so a huge levels takes no longer
+    # than B.bit_length() levels
+    t0 = time.perf_counter()
+    assert numfield.doubling_grid(100, 10 ** 7) == numfield.doubling_grid(100, 7)
+    assert time.perf_counter() - t0 < 0.5
+    assert numfield.doubling_grid(100, 7) == [1, 3, 6, 12, 25, 50, 100]
+    assert numfield.doubling_grid(100, 3) == [25, 50, 100]
