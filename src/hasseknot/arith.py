@@ -431,7 +431,9 @@ def symbol_class(x: int, p: int | None) -> tuple[int, int]:
     x = p^n * u with u a unit, (n mod 2, (u|p)) at odd p and
     (n mod 2, u mod 8) at p = 2.  The one place that reads the square
     class of x at p: x is a local square exactly when its pair is that
-    of 1."""
+    of 1.  DomainError for x = 0, which has no square class."""
+    if x == 0:
+        raise DomainError("square class of 0 undefined")
     if p is None:
         return int(x < 0), 0
     n, u = _ord_unit(x, p)

@@ -11,9 +11,9 @@ powers up to B by `arith.prime_power_multiples`.  N_loc counts the coprime
 pairs with matching profiles by Moebius inversion over the common divisor.
 A squarefree d with bad part e(d) has the class histogram of the local
 integers up to B // (d * e(d)), shifted by a profile that the pair count
-ignores, so N_loc only needs that histogram at the O(sqrt B) floor values
-of B, which one bincount gives; one Moebius sum per floor value at the top
-level serves every grid level B >> k, as (B >> k) // x = (B // x) >> k.
+ignores, so N_loc only needs a running count of the local pairs whose
+profiles agree up to that of -1 at the O(sqrt B) values B // x; one Moebius
+sum per value serves each grid level, as (B >> k) // x = (B // x) >> k.
 The global count comes from the exact half rule when the knot group is Z/2
 generated by -1, from equality when the knot group is trivial, and from a
 certificate-search lower bound otherwise.
@@ -232,28 +232,26 @@ def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
     mu(d) over the squarefree d <= B with B // (d * e(d)) = u, a floor value
     B // x or 0.  As (B >> k) // x = (B // x) >> k, again such a value, each
     grid level B >> k (up to B = tables.bound) is sum_u W(u) * Q(G(u >> k));
-    the d > B >> k land at u >> k = 0, where Q is 0.  G is taken at those
-    O(sqrt B) values by one bincount of slot(n) * (C + 1) + class(n), slot(n)
-    the least of them >= n, then a cumsum over the slots."""
+    the d > B >> k land at u >> k = 0, where Q is 0.  Q reads G only through
+    the key min(c, c ^ p_minus) of each class c: Q(G(u)) = kappa * S(u), with
+    kappa = 2 if p_minus = 0 and 1 otherwise and S(u) the ordered pairs of
+    passing n, n' <= u of equal key, the sum over them of 2 * rank(n) + 1,
+    rank(n) the passing n' < n of the key of n; kappa * S(u) <= 2 B^2 < 2^63."""
     B, ok = tables.bound, tables.ok
-    # the classes are the profiles of the local n, sorted among those n alone
-    profiles, local_cid = np.unique(tables.profile[ok], return_inverse=True)
-    C = len(profiles)
-    cid = np.full(B + 1, C)  # class C: fails the local test
-    cid[ok] = local_cid
-    mates = profiles ^ tables.p_minus
-    j = np.minimum(np.searchsorted(profiles, mates), C - 1)
-    partner = np.append(np.where(profiles[j] == mates, j, C), C)
-    # G at 0 and at the floor values of B: n counts in the slot of the least
-    # floor value >= n, and a cumsum over the slots adds up the n <= each one
+    n = np.flatnonzero(ok[1:]) + 1  # the passing n, ascending
+    key = tables.profile[n]
+    key = np.minimum(key, key ^ tables.p_minus)
+    order = np.argsort(key, kind="stable")  # by key, then by n
+    key = key[order]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])  # where each key starts
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(n)) - np.repeat(first, np.diff(np.r_[first, len(n)]))
+    S = np.r_[0, np.cumsum(2 * rank + 1)]  # S at the first j passing n
+    # Q at 0 and at the floor values of B, in slots
     r = math.isqrt(B)
     floors = np.array(sorted({*range(r + 1), *(B // x for x in range(1, r + 1))}))
-    cells = np.repeat(np.arange(1, len(floors)) * (C + 1), np.diff(floors))
-    cells += cid[1:]
-    G = np.bincount(cells, minlength=len(floors) * (C + 1)).reshape(-1, C + 1).cumsum(axis=0)
-    G[:, C] = 0  # the failing n are in no class
-    del cid, cells  # two int64 arrays of B entries, freed before the Moebius walk
-    Q = (G * (G + G[:, partner])).sum(axis=1)
+    Q = (2 if tables.p_minus == 0 else 1) * S[np.searchsorted(n, floors, side="right")]
+    del n, key, order, rank, S  # freed before the Moebius walk
     mu = np.ones(B + 1, dtype=np.int8)
     de = np.arange(B + 1, dtype=np.int64)  # d * e(d) at the squarefree d
     e = np.where(ok[tables.primes], 1, tables.primes)  # e(p)

@@ -273,6 +273,13 @@ def test_is_square_local_matches_reference():
             assert arith.is_square_local(d, v) == is_square_local_reference(d, v.p), (d, v)
 
 
+def test_symbol_class_of_zero_raises():
+    # 0 has no square class: at a finite p its valuation has no end
+    for p in (None, 2, 3):
+        with pytest.raises(DomainError):
+            arith.symbol_class(0, p)
+
+
 def test_local_square_implies_trivial_symbol():
     rng = random.Random(17)
     for v in (INFINITE_PLACE, Place(2), Place(3), Place(11)):

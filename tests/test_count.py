@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -96,7 +97,10 @@ def test_n_loc_series_matches_class_search_oracle():
     # sizes naive_local_count cannot reach; every grid level down to B = 1,
     # each read from the top level's floor values through a shift B >> k
     cases = [(F, B) for F in NINE_FIELDS for B in (1, 2, 3, 100, 1000, 2048, 8191, 8192)]
-    for F, B in cases + [(WIDE, 200)]:
+    # both pair weights kappa: p_minus = 0 pairs each class with itself
+    assert count.local_tables(F1317, 2).p_minus == 0
+    assert count.local_tables(F35, 2).p_minus != 0
+    for F, B in cases + [(WIDE, 200), (WIDE, 4096)]:
         grid, got = count.n_loc_series(F, B)
         assert got == n_loc_by_class_search(grid, count.local_tables(F, B)), (F, B)
     # levels past B.bit_length() = 10 add no grid point
@@ -169,6 +173,19 @@ def test_count_series_matches_naive_recount():
         naive = naive_local_count(F, B, list(series.grid))
         for Bi, nl in zip(series.grid, series.n_loc):
             assert naive[Bi] == nl, (F, Bi)
+
+
+def test_n_loc_series_memory_with_many_classes():
+    # WIDE has 46 bit places and thousands of profile classes up to 2^16;
+    # the pair count holds no array with a class axis
+    tracemalloc.start()
+    try:
+        got = count.n_loc_series(WIDE, 1 << 16)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[-1] == 39895
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_n_loc_pins():
