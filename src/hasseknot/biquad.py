@@ -44,7 +44,8 @@ class BiquadField:
     is_everywhere_local_norm needs there: its p, the `arith.symbol_class`
     at p of each d of its norm conditions, and the place's failing and
     passing PlaceVerdicts.  `unramified_types` holds the three types away
-    from 2ab: Quadratic(a), Quadratic(b) and split.
+    from 2ab: Quadratic(a), Quadratic(b) and split.  `search_cache` holds
+    the certificate search's read-only target-independent arrays (`_box`).
     """
 
     def __init__(self, a, b):
@@ -71,6 +72,7 @@ class BiquadField:
             (v.p, tuple(arith.symbol_class(d, v.p) for w, d in self.bit_places if w == v),
              (PlaceVerdict(v, lt, False), PlaceVerdict(v, lt, True)))
             for v, lt in self.survey)
+        self.search_cache: dict = {}
 
     def __repr__(self):
         return f"BiquadField({self.a}, {self.b})"
@@ -235,12 +237,15 @@ def report_to_json(t: Fraction | int, report: list[PlaceVerdict]) -> dict:
 def norm_form_eval(F: BiquadField, coords) -> Fraction:
     """Exact quartic norm of xi = x0 + x1 sqrt(a) + x2 sqrt(b) + x3 sqrt(ab),
     computed through the tower: eta = (x0 + x1 sqrt a)^2 - b (x2 + x3 sqrt a)^2
-    = A + B sqrt(a), then N = A^2 - a B^2."""
-    x0, x1, x2, x3 = (Fraction(c) for c in coords)
+    = A + B sqrt(a), then N = A^2 - a B^2, on the integers m_i = q x_i over
+    the common denominator q, so N(xi) = N(m) / q^4."""
+    xs = [Fraction(c) for c in coords]
+    q = math.lcm(*(x.denominator for x in xs))
+    m0, m1, m2, m3 = (x.numerator * (q // x.denominator) for x in xs)
     a, b = F.a, F.b
-    A = x0 * x0 + a * x1 * x1 - b * (x2 * x2 + a * x3 * x3)
-    B = 2 * x0 * x1 - 2 * b * x2 * x3
-    return A * A - a * B * B
+    A = m0 * m0 + a * m1 * m1 - b * (m2 * m2 + a * m3 * m3)
+    B = 2 * m0 * m1 - 2 * b * m2 * m3
+    return Fraction(A * A - a * B * B, q ** 4)
 
 
 # --- certificate search -----------------------------------------------------
@@ -304,6 +309,10 @@ def norm_form_eval(F: BiquadField, coords) -> Fraction:
 # _CHUNK bounds the entries of a scan block and of a batch of square roots or
 # joined pairs: at 2^17, 1 MB as float64 or int64, a block and its temporaries
 # stay in a 2 MB L2 cache, where window scans in blocks of 2^22 ran 1.3x longer.
+# It also bounds the j-halves of a box that _box keeps on the field: c <= 255.
+# Kept boxes and one product buffer per scan took the 16 searched queries of a
+# decide-stream pass from 25-30 ms to 18-20 ms, and `count --a -7 --b 29 --bound
+# 128 --levels 3` from 2.4-2.9 s to 1.7-2.2 s, on a 2-core x86 box.
 _CHUNK = 1 << 17
 # The cost model of _window_hits counts scanned points.  Timed over 269
 # search windows on a 2-core x86 box with one BLAS thread, a scanned point
@@ -370,37 +379,68 @@ def _by_shell(out: dict[int, list], lo: int, n0, n1, n2, n3, N) -> None:
             (int(n0[i]), int(n1[i]), int(n2[i]), int(n3[i]), int(N[i])))
 
 
+def _box(F: BiquadField, c: int, part: str) -> tuple:
+    """The read-only, target-independent geometry of the box of shell c that
+    the "scan" or the "join" part needs, from the i-halves (n0, n1) in
+    [0, c]^2 and the j-halves (n2, n3) in [0, c] x [-c, c].  The scan's: the
+    halves, the matrices `left` and `right` of its block products, float64
+    for c <= r53 and int64 beyond, and the shells max(n0, n1) and
+    max(n2, |n3|) of the halves.  The join's: n0, n1, P, Q, the i-half
+    classes sorted, `iorder` that sorts them, and the j-half keys sorted,
+    with their n2, n3 as m2, m3 (see _join).  F.search_cache holds it by
+    (c, part) when it has at most _CHUNK j-halves, as for c <= 255."""
+    box = F.search_cache.get((c, part))
+    if box is not None:
+        return box
+    a, b, k = F.a, F.b, np.arange(c + 1, dtype=np.int64)
+    n0, n1 = np.repeat(k, c + 1), np.tile(k, c + 1)
+    n2, n3 = np.repeat(k, 2 * c + 1), np.tile(np.arange(-c, c + 1, dtype=np.int64), c + 1)
+    P, Q = n0 * n0 + a * n1 * n1, 2 * n0 * n1
+    if part == "scan":
+        R, S = b * (n2 * n2 + a * n3 * n3), 2 * b * n2 * n3
+        left = np.stack([P * P - a * Q * Q, -2 * P, 2 * a * Q, np.ones_like(P)], axis=1)
+        right = np.stack([np.ones_like(R), R, S, R * R - a * S * S])
+        if c <= _exact_radius(a, b, 53):
+            left, right = left.astype(np.float64), right.astype(np.float64)
+        box = (n0, n1, n2, n3, left, right, np.maximum(n0, n1), np.maximum(n2, np.abs(n3)))
+    else:
+        m = abs(b)
+        classes = P % m * (2 * m) + Q % (2 * m)
+        iorder = np.argsort(classes, kind="stable")
+        keys = (n2 * n2 + a * n3 * n3 - min(a, 0) * c * c) * (2 * c * c + 1) + n2 * n3 + c * c
+        order = np.argsort(keys, kind="stable")
+        box = (n0, n1, P, Q, classes[iorder], iorder, keys[order], n2[order], n3[order])
+    for x in box:
+        x.flags.writeable = False
+    if n2.size <= _CHUNK:
+        F.search_cache[c, part] = box
+    return box
+
+
 def _scan(F: BiquadField, lo: int, hi: int, hit) -> dict[int, list]:
     """The hits of the window (lo, hi] as {r: points}: the (n0, n1, n2, n3, N)
     on the n0, n1, n2 >= 0 part of integer shell r whose norms N the
     predicate `hit` marks, given the norms of a block as a 2-D array.  Of
     the halves of the box of shell hi, the window is (max i > lo) x (all j)
     and (max i <= lo) x (max j > lo); a block of either is one matrix
-    product of its halves, float64 for hi <= r53 and int64 beyond."""
-    a, b = F.a, F.b
-    n0, n1, n2, n3 = _halves(hi)
-    P, Q = n0 * n0 + a * n1 * n1, 2 * n0 * n1
-    R, S = b * (n2 * n2 + a * n3 * n3), 2 * b * n2 * n3
-    left = np.stack([P * P - a * Q * Q, -2 * P, 2 * a * Q, np.ones_like(P)], axis=1)
-    right = np.stack([np.ones_like(R), R, S, R * R - a * S * S])
-    if hi <= _exact_radius(a, b, 53):
-        left, right = left.astype(np.float64), right.astype(np.float64)
-    outer = np.maximum(n0, n1) > lo
-    rows = (np.flatnonzero(outer), np.flatnonzero(~outer))
-    cols = (np.arange(n2.size), np.flatnonzero(np.maximum(n2, np.abs(n3)) > lo))
+    product of its halves, written into one buffer per call."""
+    n0, n1, n2, n3, left, right, ishell, jshell = _box(F, hi, "scan")
+    outer = ishell > lo
+    blocks = [(I, J, min(J.size, max(1, _CHUNK // I.size))) for I, J in zip(
+        (np.flatnonzero(outer), np.flatnonzero(~outer)),
+        (np.arange(n2.size), np.flatnonzero(jshell > lo)))]
+    Nbuf = np.empty(max(I.size * step for I, _, step in blocks), dtype=left.dtype)
     out: dict[int, list] = {}
-    for I, J in zip(rows, cols):
+    for I, J, step in blocks:
         L = left[I]
-        step = max(1, _CHUNK // I.size)
         for s in range(0, J.size, step):
             Js = J[s:s + step]
-            N = L @ right[:, Js]
+            N = np.matmul(L, right[:, Js], out=Nbuf[:I.size * Js.size].reshape(I.size, -1))
             marked = hit(N)
             if marked.any():
                 ii, jj = np.nonzero(marked)
                 i, j = I[ii], Js[jj]
                 _by_shell(out, lo, n0[i], n1[i], n2[j], n3[j], N[ii, jj])
-            del N, marked  # free the block before the next one is allocated
     return out
 
 
@@ -481,19 +521,24 @@ def _runs(cnt: np.ndarray):
         s = e
 
 
-def _residues(a: int, b: int, vals: np.ndarray, c: int):
+def _residues(F: BiquadField, vals: np.ndarray, c: int):
     """(k, start, n): the beta of target k's range that _conic takes a square
     root for in the box of shell c, as runs start + _SIEVE i, i < n, n > 0,
     one per residue of beta mod _SIEVE that makes T + 4a beta^2 a square mod
     _SIEVE; n.sum() counts the square roots.  The residues are tested about
-    _CHUNK at a time."""
-    lo, hi = (np.array(x, dtype=np.int64) for x in zip(*_conic_ranges(a, b, vals, c)))
-    rho = np.arange(_SIEVE, dtype=np.int64)
-    step = 4 * a % _SIEVE * (rho * rho % _SIEVE) % _SIEVE
+    _CHUNK at a time against the field's table of 4a rho^2 mod _SIEVE,
+    which F.search_cache holds."""
+    lo, hi = (np.array(x, dtype=np.int64) for x in zip(*_conic_ranges(F.a, F.b, vals, c)))
+    step = F.search_cache.get("steps")
+    if step is None:
+        rho = np.arange(_SIEVE, dtype=np.int64)
+        step = F.search_cache["steps"] = 4 * F.a % _SIEVE * (rho * rho % _SIEVE) % _SIEVE
+        step.flags.writeable = False
     group = max(1, _CHUNK // _SIEVE)
     parts = []
     for g in range(0, vals.size, group):
-        k, res = np.nonzero(_SIEVE_SQUARES[vals[g:g + group, None] % _SIEVE + step])
+        square = _SIEVE_SQUARES[vals[g:g + group, None] % _SIEVE + step]
+        k, res = np.divmod(np.flatnonzero(square), _SIEVE)
         k += g
         first = -((res - lo[k]) // _SIEVE)  # the least i with res + _SIEVE i >= lo
         n = (hi[k] - res) // _SIEVE - first + 1
@@ -531,22 +576,12 @@ def _conic(a: int, b: int, vals: np.ndarray, c: int, k, start, n):
     return A, B, k
 
 
-def _halves(c: int):
-    """The i-halves (n0, n1) in [0, c]^2 and the j-halves (n2, n3) in
-    [0, c] x [-c, c] of the box of shell c, as int64 columns."""
-    k = np.arange(c + 1, dtype=np.int64)
-    n0, n1 = np.repeat(k, c + 1), np.tile(k, c + 1)
-    n2, n3 = np.repeat(k, 2 * c + 1), np.tile(np.arange(-c, c + 1, dtype=np.int64), c + 1)
-    return n0, n1, n2, n3
-
-
-def _join(a: int, b: int, c: int, A: np.ndarray, B: np.ndarray, k: np.ndarray):
+def _join(F: BiquadField, c: int, A: np.ndarray, B: np.ndarray, k: np.ndarray):
     """(pairs, points): the number of pairs of a conic point (A, B, k) and an
     i-half with P_i = A mod |b| and Q_i = B mod 2|b|, and an iterator of
     (n0, n1, n2, n3, k) arrays over the points of the box of shell c with
-    n0, n1, n2 >= 0, P_i - R_j = A and Q_i - S_j = B.  The count needs only
-    the i-halves sorted by residue class; the j-halves are sorted by key
-    when the iterator starts.
+    n0, n1, n2 >= 0, P_i - R_j = A and Q_i - S_j = B.  The i-halves sorted
+    by residue class and the j-halves sorted by key come from _box.
 
     R_j / b = n2^2 + a n3^2 lies in [umin, umax] = [min(a, 0) c^2,
     (1 + max(a, 0)) c^2] and S_j / 2b = n2 n3 in [-c^2, c^2], so
@@ -557,21 +592,15 @@ def _join(a: int, b: int, c: int, A: np.ndarray, B: np.ndarray, k: np.ndarray):
     Q_i - B, of magnitude at most coeff * c^4.  The congruent pairs come
     in chunks of about _CHUNK; each goes on to a sorted lookup of its
     j-half key."""
-    n0, n1, n2, n3 = _halves(c)
-    P, Q = n0 * n0 + a * n1 * n1, 2 * n0 * n1
+    a, b = F.a, F.b
+    n0, n1, P, Q, classes, iorder, keys, m2, m3 = _box(F, c, "join")
     m = abs(b)
-    classes = P % m * (2 * m) + Q % (2 * m)
-    iorder = np.argsort(classes, kind="stable")
-    classes = classes[iorder]
     want = A % m * (2 * m) + B % (2 * m)
     first = np.searchsorted(classes, want, side="left")
     cnt = np.searchsorted(classes, want, side="right") - first
     umin, umax, width = min(a, 0) * c * c, (1 + max(a, 0)) * c * c, 2 * c * c + 1
 
     def points():
-        keys = (n2 * n2 + a * n3 * n3 - umin) * width + n2 * n3 + c * c
-        order = np.argsort(keys, kind="stable")
-        keys, m2, m3 = keys[order], n2[order], n3[order]
         for sol, i in _runs(cnt):
             ii = iorder[first[sol] + i]
             u, v = (P[ii] - A[sol]) // b, (Q[ii] - B[sol]) // (2 * b)
@@ -592,15 +621,19 @@ def _hit(vals: np.ndarray):
     The norms of a float64 block are integers below 2^53 in magnitude, so
     they convert to int64 exactly.  A table of the targets' low 16 bits
     passes the few candidates to one sorted lookup, about as fast whatever
-    the number of targets."""
+    the number of targets.  Its low-bit and mark buffers last across blocks."""
     table = np.zeros(1 << 16, dtype=bool)
     table[vals & 0xFFFF] = True
+    bufs = [np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)]
 
     def hit(N):
-        M = N.astype(np.int64, copy=False)
-        marked = table[M & 0xFFFF]
-        c = np.flatnonzero(marked)
-        x = M.ravel()[c]
+        if bufs[0].size < N.size:
+            bufs[:] = np.empty(N.size, dtype=np.int64), np.empty(N.size, dtype=bool)
+        low, marked = (x[:N.size].reshape(N.shape) for x in bufs)
+        low[...] = N
+        np.bitwise_and(low, 0xFFFF, out=low)
+        c = np.flatnonzero(np.take(table, low, out=marked, mode="clip"))
+        x = N.ravel()[c].astype(np.int64)
         marked.ravel()[c] = vals[np.searchsorted(vals, x).clip(max=vals.size - 1)] == x
         return marked
     return hit
@@ -623,9 +656,9 @@ def _window_hits(F: BiquadField, vals: np.ndarray, lo: int, hi: int) -> dict[int
     a, b = F.a, F.b
     scan = (hi + 1) ** 3 * (2 * hi + 1) - (lo + 1) ** 3 * (2 * lo + 1)
     if _JOIN_COST * _TARGET_ROOTS * vals.size < scan:  # else no root count needed
-        k, start, n = _residues(a, b, vals, hi)
+        k, start, n = _residues(F, vals, hi)
         if _JOIN_COST * (int(n.sum()) + _TARGET_ROOTS * vals.size) < scan:
-            pairs, joined = _join(a, b, hi, *_conic(a, b, vals, hi, k, start, n))
+            pairs, joined = _join(F, hi, *_conic(a, b, vals, hi, k, start, n))
             if _JOIN_COST * _PAIR_ROOTS * pairs < scan:
                 out: dict[int, list] = {}
                 for n0, n1, n2, n3, kk in joined:
@@ -643,10 +676,12 @@ def _shell_search(F: BiquadField, targets: dict[str, Fraction], cap: int
     if cap < 1:
         raise DomainError("cap must be >= 1")
     value_map: dict[int, tuple[str, int]] = {}
+    top = min(cap, _exact_radius(F.a, F.b, 63))
     for label, tval in targets.items():
-        for q in range(1, min(cap, _exact_radius(F.a, F.b, 63)) + 1):
-            if q ** 4 % tval.denominator == 0:  # tval * q^4 is an integer
-                value_map.setdefault(tval.numerator * (q ** 4 // tval.denominator), (label, q))
+        den = tval.denominator  # tval * q^4 is an integer for the multiples q of q0
+        q0 = next((q for q in range(1, top + 1) if q ** 4 % den == 0), top + 1)
+        for q in range(q0, top + 1, q0):
+            value_map.setdefault(tval.numerator * (q ** 4 // den), (label, q))
     i64max = (1 << 63) - 1
     tvals = np.array(sorted(v for v in value_map if abs(v) <= i64max), dtype=np.int64)
     coeff = _coeff(F.a, F.b)
@@ -691,10 +726,14 @@ def negative_norm_witness(F: BiquadField, cap: int) -> NormCertificate | None:
     with q = 1 every point of the first shell with a hit is primitive.
     Most points have a negative norm once any does, so the shells of each
     window are scanned one at a time and the first with a hit ends the
-    search."""
+    search.  It keeps none of the boxes it builds, as one per shell to cap
+    would add up to about 56 cap^3 bytes."""
     for lo, hi in _windows(F, cap):
         for r in range(lo + 1, hi + 1):
+            kept = (r, "scan") in F.search_cache
             hits = _scan(F, r - 1, r, lambda N: N < 0)
+            if not kept:
+                F.search_cache.pop((r, "scan"), None)
             if hits:
                 return _least(F, [(1, n, None) for *n, _ in hits[r]])[1]
     return None

@@ -163,6 +163,18 @@ def local_report_by_symbols(F, t):
     return all(pv.local_norm for pv in report), report
 
 
+def norm_form_by_fractions(F, coords) -> Fraction:
+    """The quartic norm of x0 + x1 sqrt(a) + x2 sqrt(b) + x3 sqrt(ab) through
+    the tower, in Fraction arithmetic on the coordinates: eta = A + B sqrt(a)
+    with A = x0^2 + a x1^2 - b (x2^2 + a x3^2) and B = 2 x0 x1 - 2b x2 x3,
+    then N = A^2 - a B^2."""
+    x0, x1, x2, x3 = (Fraction(c) for c in coords)
+    a, b = F.a, F.b
+    A = x0 * x0 + a * x1 * x1 - b * (x2 * x2 + a * x3 * x3)
+    B = 2 * x0 * x1 - 2 * b * x2 * x3
+    return A * A - a * B * B
+
+
 def mul_coords(F, x, y) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Ring product of two elements of the biquadratic field F in the basis
     {1, sqrt a, sqrt b, sqrt ab}, multiplied out by hand."""

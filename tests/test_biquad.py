@@ -15,6 +15,7 @@ from hasseknot.biquad import BiquadField, SearchConfig
 from hasseknot.errors import ConfigError, DegenerateFieldError, DomainError
 
 from oracles import (is_square_mod_p_bruteforce, local_report_by_symbols, mul_coords,
+                     norm_form_by_fractions,
                      scan_by_faces, shell_search_by_faces)
 
 F1317 = BiquadField(13, 17)
@@ -230,6 +231,14 @@ def test_norm_multiplicative_under_ring_product():
             biquad.norm_form_eval(F1317, x) * biquad.norm_form_eval(F1317, y)
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.sampled_from(ORACLE_FIELDS),
+       st.lists(st.integers(-10 ** 12, 10 ** 12) | st.fractions(max_denominator=10 ** 6),
+                min_size=4, max_size=4))
+def test_norm_form_equals_the_fraction_oracle(F, coords):
+    assert biquad.norm_form_eval(F, coords) == norm_form_by_fractions(F, coords)
+
+
 def test_certificate_search_fixture_witnesses():
     cert = biquad.certificate_search(F1317, 1, 5)
     assert cert.coords == (1, 0, 0, 0)
@@ -365,6 +374,69 @@ def test_stream_searches_equal_the_face_oracle(monkeypatch, finder):
         F, t = BiquadField(a, b), Fraction(t)
         targets = {"t": t, "-t": -t} if biquad.knot_order(F) == 2 else {"t": t}
         assert _search(F, targets, 60) == shell_search_by_faces(F, targets, 60), (a, b, t)
+
+
+def _held_bytes(F):
+    """The bytes of the arrays that F.search_cache holds."""
+    return sum(x.nbytes for v in F.search_cache.values()
+               for x in (v if isinstance(v, tuple) else (v,)))
+
+
+@pytest.mark.parametrize("finder", [*FORCED])
+def test_warm_search_cache_gives_the_cold_results(monkeypatch, finder):
+    # the searches of both stream fields, interleaved and twice over, on one
+    # field instance each, equal those on a fresh field every time
+    monkeypatch.setattr(biquad, "_JOIN_COST", FORCED[finder])
+    warm = {ab: BiquadField(*ab) for ab, _ in STREAM_SEARCHES}
+    interleaved = [q for pair in itertools.zip_longest(STREAM_SEARCHES[:12], STREAM_SEARCHES[12:])
+                   for q in pair if q]
+    for ab, t in interleaved * 2:
+        t = Fraction(t)
+        targets = {"t": t, "-t": -t} if biquad.knot_order(warm[ab]) == 2 else {"t": t}
+        assert _search(warm[ab], targets, 60) == _search(BiquadField(*ab), targets, 60), (ab, t)
+    assert all(F.search_cache for F in warm.values())
+
+
+def test_search_cache_is_read_only_and_small():
+    # the held arrays cannot be written, and after the 16 stream searches
+    # at cap 60 they hold under 1 MB (0.58 MB when measured); after a cap-255
+    # search, under 32 MB (8.5 MB); the witness, which scans shell by shell,
+    # keeps no box of its own (it would hold 15.6 MB at cap 64)
+    fields = {ab: BiquadField(*ab) for ab, _ in STREAM_SEARCHES}
+    for ab, t in STREAM_SEARCHES:
+        t = Fraction(t)
+        targets = {"t": t, "-t": -t} if biquad.knot_order(fields[ab]) == 2 else {"t": t}
+        biquad._shell_search(fields[ab], targets, 60)
+    assert sum(_held_bytes(F) for F in fields.values()) < 2 ** 20
+    F = BiquadField(13, 17)
+    assert biquad.certificate_search(F, 25, 255) is None
+    assert _held_bytes(F) < 32 * 2 ** 20
+    W = BiquadField(-1, -2)
+    assert biquad.negative_norm_witness(W, 64) is None
+    assert _held_bytes(W) < 32 * 2 ** 20 and not W.search_cache
+    assert biquad.negative_norm_witness(F, 64) is not None
+    assert _held_bytes(F) < 32 * 2 ** 20
+    for G in (*fields.values(), F, W):
+        for v in G.search_cache.values():
+            for x in v if isinstance(v, tuple) else (v,):
+                assert not x.flags.writeable
+                with pytest.raises(ValueError):
+                    x[...] = 0
+
+
+def test_search_cache_keeps_no_box_past_the_chunk(monkeypatch):
+    # with 100 entries to a chunk only the boxes of shell c <= 6, with
+    # (c + 1)(2c + 1) <= 100 j-halves, are kept, and the results hold; the
+    # windows of cap 12 end at shells 1, 2, 4, 8 and 12
+    monkeypatch.setattr(biquad, "_CHUNK", 100)
+    for finder in FORCED:
+        monkeypatch.setattr(biquad, "_JOIN_COST", FORCED[finder])
+        F = BiquadField(13, 17)
+        for t in (Fraction(-25), Fraction(1, 61)):
+            targets = {"t": t, "-t": -t}
+            assert _search(F, targets, 12) == shell_search_by_faces(F, targets, 12), (finder, t)
+        boxes = {c for c in F.search_cache if c != "steps"}
+        assert boxes and max(c for c, _ in boxes) == 4, (finder, boxes)
 
 
 def test_isqrt_is_exact_on_int64():
