@@ -311,18 +311,29 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
-def factorize(t: Fraction | int) -> Factorization:
-    """Exact factorization of a nonzero rational; denominator primes get
-    negative exponents."""
+def exponents(t: Fraction | int) -> dict[int, int]:
+    """The exponent map {p: v_p(t)} of a nonzero rational, denominator primes
+    with negative exponents.  The primes are in no fixed order: the trial
+    divisors come first, ascending, then any larger primes as found."""
     if not isinstance(t, (int, Fraction)):  # those are in lowest terms already
         t = Fraction(t)
-    num = t.numerator
+    num, den = t.numerator, t.denominator
     if num == 0:
         raise DomainError("cannot factor 0")
     # a reduced Fraction shares no prime between numerator and denominator
     exps = _factor_positive(abs(num))
-    exps.update((p, -e) for p, e in _factor_positive(t.denominator).items())
-    return Factorization(1 if num > 0 else -1, tuple(sorted(exps.items())))
+    if den > 1:
+        exps.update((p, -e) for p, e in _factor_positive(den).items())
+    return exps
+
+
+def factorize(t: Fraction | int) -> Factorization:
+    """Exact factorization of a nonzero rational; denominator primes get
+    negative exponents."""
+    if not isinstance(t, (int, Fraction)):
+        t = Fraction(t)
+    exps = exponents(t)
+    return Factorization(1 if t > 0 else -1, tuple(sorted(exps.items())))
 
 
 def spf_table(limit: int) -> np.ndarray:
@@ -438,6 +449,13 @@ def symbol_class(x: int, p: int | None) -> tuple[int, int]:
         return int(x < 0), 0
     n, u = _ord_unit(x, p)
     return n % 2, u % 8 if p == 2 else kronecker(u, p)
+
+
+def symbol_classes(p: int | None) -> tuple[tuple[int, int], ...]:
+    """Every pair `symbol_class` can return at p: 2 at the real place, 8 at
+    p = 2 and 4 at an odd p."""
+    units = (0,) if p is None else (1, 3, 5, 7) if p == 2 else (1, -1)
+    return tuple((n, c) for n in (0, 1) for c in units)
 
 
 def symbol(x: tuple[int, int], y: tuple[int, int], p: int | None) -> int:

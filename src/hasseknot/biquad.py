@@ -38,17 +38,25 @@ class BiquadField:
     order, computed once.  `bit_places` holds the norm conditions there, in
     the same order: the pairs (v, d) such that t is a local norm at v
     exactly when (t, d)_v = 1 for each of them; none for a split type, d
-    for Quadratic(d), a and b for the biquadratic type.  Both the one-shot
-    local test and the bits of `count.local_tables` read them.
-    `survey_symbols` holds, for each survey place, what
-    is_everywhere_local_norm needs there: its p, the `arith.symbol_class`
-    at p of each d of its norm conditions, and the place's failing and
-    passing PlaceVerdicts.  `unramified_types` holds the three types away
-    from 2ab: Quadratic(a), Quadratic(b) and split.  `search_cache` holds
-    the certificate search's read-only target-independent arrays (`_box`).
+    for Quadratic(d), a and b for the biquadratic type.  The bits of
+    `count.local_tables` read them.  `unramified_types` holds the three
+    types away from 2ab: Quadratic(a), Quadratic(b) and split.
+
+    is_everywhere_local_norm reads two verdict tables, keyed by place only.
+    `survey_verdicts` holds, for each survey place, its p and a map from
+    each `arith.symbol_class` at p of the square class of t to the
+    PlaceVerdict there, by `arith.symbol` against the place's `bit_places`.
+    `prime_verdicts` maps each trial prime p < 2^10 of `arith.exponents`
+    outside 2ab to its verdicts (for v_p(t) even, for v_p(t) odd), as
+    `_prime_verdicts` makes them.  `search_cache` holds the certificate
+    search's read-only target-independent arrays (`_box`, `_residues`).
     """
 
     def __init__(self, a, b):
+        if not a or not b:
+            raise DegenerateFieldError(
+                f"(a, b) = ({a}, {b}): the radicand {'a' if not a else 'b'} is 0, "
+                f"so there is no biquadratic field")
         a = arith.squarefree_kernel(a)
         b = arith.squarefree_kernel(b)
         d3 = arith.squarefree_kernel(a * b)
@@ -68,10 +76,13 @@ class BiquadField:
         self.bit_places = tuple(
             (v, d) for v, lt in self.survey
             for d in {SPLIT: (), QUADRATIC: (lt.d,), BIQUADRATIC: (a, b)}[lt.kind])
-        self.survey_symbols = tuple(
-            (v.p, tuple(arith.symbol_class(d, v.p) for w, d in self.bit_places if w == v),
-             (PlaceVerdict(v, lt, False), PlaceVerdict(v, lt, True)))
+        self.survey_verdicts = tuple(
+            (v.p, {c: PlaceVerdict(v, lt, all(
+                arith.symbol(c, arith.symbol_class(d, v.p), v.p) == 1
+                for w, d in self.bit_places if w == v)) for c in arith.symbol_classes(v.p)})
             for v, lt in self.survey)
+        self.prime_verdicts = {p: _prime_verdicts(self, p) for p in arith._TRIAL_PRIMES
+                               if p not in self.ramified_support}
         self.search_cache: dict = {}
 
     def __repr__(self):
@@ -168,6 +179,14 @@ def _unramified_type(F: BiquadField, p: int) -> LocalType:
     return split if arith.kronecker(F.b, p) == 1 else quad_b
 
 
+def _prime_verdicts(F: BiquadField, p: int) -> tuple[PlaceVerdict, PlaceVerdict]:
+    """The verdicts at a prime p not dividing 2ab for a t with v_p(t) even
+    and with v_p(t) odd: t is a local norm at p exactly when the type is
+    split or v_p(t) is even (see is_everywhere_local_norm)."""
+    v, lt = arith.proved_place(p), _unramified_type(F, p)
+    return PlaceVerdict(v, lt, True), PlaceVerdict(v, lt, lt.kind == SPLIT)
+
+
 def knot_order(F: BiquadField) -> int:
     """Order of the knot group: gcd of the g_v over all places.
 
@@ -198,27 +217,33 @@ def is_everywhere_local_norm(F: BiquadField, t: Fraction | int
     all symbols are +1.  Returns (verdict, per-place report), the places in
     increasing order after infinity.
 
-    At infinity and p | 2ab the verdict is the field's norm conditions
-    `bit_places`: (t, d)_v = 1 for each (v, d) there.  t enters these
-    symbols only through the `arith.symbol_class` of its square class
-    r = num * den, paired with the field's `survey_symbols`.  At p | t
-    with p not dividing 2ab the verdict is "split, or v_p(t) even": there
-    Quadratic(d) has d a unit non-square at p, so
-    (t, d)_p = (d|p)^(v_p(t)) = (-1)^(v_p(t)), and no symbol is taken."""
+    Each place takes one lookup in the field's verdict tables.  At infinity
+    and p | 2ab the verdict is the field's norm conditions `bit_places`:
+    (t, d)_v = 1 for each (v, d) there.  t enters these symbols only
+    through the `arith.symbol_class` at p of its square class r = num * den,
+    which keys the place's map in `survey_verdicts`.  At p | t with p not
+    dividing 2ab the verdict is "split, or v_p(t) even": there Quadratic(d)
+    has d a unit non-square at p, so (t, d)_p = (d|p)^(v_p(t)) =
+    (-1)^(v_p(t)), and no symbol is taken.  The pair of verdicts comes from
+    `prime_verdicts` for p < 2^10 and from `_prime_verdicts` above it.  The
+    primes of t come from `arith.exponents`, in no fixed order, so the
+    report is sorted when t has a prime outside 2ab."""
     if not isinstance(t, (int, Fraction)):  # those are in lowest terms already
         t = Fraction(t)
     if not t:
         raise DomainError("t must be nonzero")
     r = t.numerator * t.denominator  # the square class of t, as an int
-    report = []
-    for p, classes, verdicts in F.survey_symbols:
-        c = arith.symbol_class(r, p) if classes else None
-        report.append(verdicts[all(arith.symbol(c, d, p) == 1 for d in classes)])
-    for p, e in arith.factorize(t).factors:
-        if p not in F.ramified_support:
-            lt = _unramified_type(F, p)
-            report.append(PlaceVerdict(arith.proved_place(p), lt, e % 2 == 0 or lt.kind == SPLIT))
-    report[1:] = sorted(report[1:], key=lambda pv: pv.place.p)
+    report = [verdicts[arith.symbol_class(r, p)] for p, verdicts in F.survey_verdicts]
+    surveyed = len(report)
+    for p, e in arith.exponents(t).items():
+        pair = F.prime_verdicts.get(p)
+        if pair is None:
+            if p in F.ramified_support:
+                continue
+            pair = _prime_verdicts(F, p)
+        report.append(pair[e % 2])
+    if len(report) > surveyed:
+        report[1:] = sorted(report[1:], key=lambda pv: pv.place.p)
     return all(pv.local_norm for pv in report), report
 
 
@@ -524,26 +549,35 @@ def _runs(cnt: np.ndarray):
 def _residues(F: BiquadField, vals: np.ndarray, c: int):
     """(k, start, n): the beta of target k's range that _conic takes a square
     root for in the box of shell c, as runs start + _SIEVE i, i < n, n > 0,
-    one per residue of beta mod _SIEVE that makes T + 4a beta^2 a square mod
-    _SIEVE; n.sum() counts the square roots.  The residues are tested about
-    _CHUNK at a time against the field's table of 4a rho^2 mod _SIEVE,
-    which F.search_cache holds."""
+    one per residue rho of beta mod _SIEVE that makes T + 4a rho^2 a square
+    mod _SIEVE; n.sum() counts the square roots.  4a rho^2 mod _SIEVE takes
+    at most 96 distinct values, the steps; a target tests each step once,
+    about _CHUNK tests at a time, and a passing step stands for all its rho.
+    F.search_cache holds the steps and their rho as a CSR table: the rho of
+    step j are rhos[offsets[j]:offsets[j + 1]]."""
     lo, hi = (np.array(x, dtype=np.int64) for x in zip(*_conic_ranges(F.a, F.b, vals, c)))
-    step = F.search_cache.get("steps")
-    if step is None:
+    table = F.search_cache.get("steps")
+    if table is None:
         rho = np.arange(_SIEVE, dtype=np.int64)
-        step = F.search_cache["steps"] = 4 * F.a % _SIEVE * (rho * rho % _SIEVE) % _SIEVE
-        step.flags.writeable = False
-    group = max(1, _CHUNK // _SIEVE)
+        steps, which = np.unique(4 * F.a % _SIEVE * (rho * rho % _SIEVE) % _SIEVE,
+                                 return_inverse=True)
+        offsets = np.concatenate([[0], np.cumsum(np.bincount(which))])
+        table = F.search_cache["steps"] = (steps, offsets, np.argsort(which, kind="stable"))
+        for x in table:
+            x.flags.writeable = False
+    steps, offsets, rhos = table
+    group = max(1, _CHUNK // steps.size)
     parts = []
     for g in range(0, vals.size, group):
-        square = _SIEVE_SQUARES[vals[g:g + group, None] % _SIEVE + step]
-        k, res = np.divmod(np.flatnonzero(square), _SIEVE)
-        k += g
-        first = -((res - lo[k]) // _SIEVE)  # the least i with res + _SIEVE i >= lo
-        n = (hi[k] - res) // _SIEVE - first + 1
-        run = n > 0
-        parts.append((k[run], res[run] + _SIEVE * first[run], n[run]))
+        kk, jj = np.nonzero(_SIEVE_SQUARES[vals[g:g + group, None] % _SIEVE + steps])
+        for p, i in _runs(offsets[jj + 1] - offsets[jj]):
+            k, res = kk[p] + g, rhos[offsets[jj[p]] + i]
+            first = -((res - lo[k]) // _SIEVE)  # the least i with res + _SIEVE i >= lo
+            n = (hi[k] - res) // _SIEVE - first + 1
+            run = n > 0
+            parts.append((k[run], res[run] + _SIEVE * first[run], n[run]))
+    if not parts:
+        return (np.zeros(0, dtype=np.int64),) * 3
     return tuple(np.concatenate(x) for x in zip(*parts))
 
 

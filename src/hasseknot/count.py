@@ -335,8 +335,7 @@ def count_integer_norms_local(F: biquad.BiquadField, B: int,
     grid = doubling_grid(B, levels)
     tables = local_tables(F, B)
     passing = tables.ok[1:B + 1] & (tables.profile[1:B + 1] == 0)
-    cum = np.cumsum(passing, dtype=np.int64)
-    return [(Bi, int(cum[Bi - 1])) for Bi in grid]
+    return [(Bi, int(np.count_nonzero(passing[:Bi]))) for Bi in grid]
 
 
 def fit_exponent(series: CountSeries, which: str = "loc") -> FitResult:

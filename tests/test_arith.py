@@ -35,6 +35,20 @@ def test_factorize_zero_rejected():
         arith.factorize(0)
 
 
+def test_exponents_is_the_factorization_map():
+    for t in (1, -1, 221, Fraction(-45, 4), Fraction(1031 * 1000003, 7 * 65537),
+              Fraction(2 ** 40, 3 ** 30 * 1021 ** 2)):
+        assert arith.exponents(t) == dict(arith.factorize(t).factors), t
+    with pytest.raises(DomainError, match="cannot factor 0"):
+        arith.exponents(Fraction(0))
+
+
+def test_symbol_classes_are_every_symbol_class():
+    for p in (None, 2, 3, 5, 13, 1031):
+        got = {arith.symbol_class(x * m, p) for x in range(-60, 61) if x for m in (1, p or 1)}
+        assert got == set(arith.symbol_classes(p)), p
+
+
 def test_factorize_large_input():
     n = (10 ** 9 + 7) * (10 ** 9 + 9) * 2 ** 3
     f = arith.factorize(n)

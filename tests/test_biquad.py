@@ -40,6 +40,12 @@ def test_degenerate_inputs_rejected():
         BiquadField(0, 5)
 
 
+def test_zero_radicand_is_a_degenerate_field():
+    for a, b, zero in ((0, 17, "a"), (13, 0, "b"), (0, 0, "a"), (Fraction(0), 5, "a")):
+        with pytest.raises(DegenerateFieldError, match=f"radicand {zero} is 0"):
+            BiquadField(a, b)
+
+
 def test_local_type_fixtures():
     assert biquad.local_type(F1317, INFINITE_PLACE).kind == biquad.SPLIT
     lt = biquad.local_type(F1317, Place(2))
@@ -163,6 +169,92 @@ def test_everywhere_local_report_equals_per_place_oracle_large_t():
        st.integers(1, 10 ** 9), st.integers(0, 12))
 def test_everywhere_local_report_equals_oracle_hypothesis(F, num, den, k):
     _same_report(F, Fraction(num * F.a ** k, den))
+
+
+def _representative(c, p):
+    """The least |x| whose arith.symbol_class at p is the pair c = (n, u):
+    the sign at the real place, p^n times the least positive unit of
+    Legendre symbol u at an odd p, 2^n u at p = 2."""
+    n, u = c
+    if p is None:
+        return -1 if n else 1
+    if p != 2:
+        u = next(x for x in range(1, p) if pow(x, (p - 1) // 2, p) == u % p)
+    return p ** n * u
+
+
+def test_verdict_tables_equal_their_definition():
+    # each survey map holds every symbol class at its place and the verdict
+    # of the Hilbert symbols of a t of that class with the place's norm
+    # conditions; each small-prime pair is the verdict of the type at p for
+    # v_p(t) even and odd, by the Hilbert symbols of p^2 and p
+    for F in ORACLE_FIELDS:
+        assert [p for p, _ in F.survey_verdicts] == [v.p for v, _ in F.survey], F
+        for (v, lt), (p, verdicts) in zip(F.survey, F.survey_verdicts):
+            ds = [d for w, d in F.bit_places if w == v]
+            assert len(verdicts) == {None: 2, 2: 8}.get(p, 4), (F, v)
+            for c, pv in verdicts.items():
+                x = _representative(c, p)
+                assert arith.symbol_class(x, p) == c, (F, v, c)
+                want = all(arith.symbol(c, arith.symbol_class(d, p), p) == 1 for d in ds)
+                assert want == all(arith.hilbert(x, d, v) == 1 for d in ds), (F, v, c)
+                assert pv == biquad.PlaceVerdict(v, lt, want), (F, v, c)
+        assert set(F.prime_verdicts) == set(arith._TRIAL_PRIMES) - F.ramified_support, F
+        for p, pair in F.prime_verdicts.items():
+            v = Place(p)
+            lt = biquad.local_type(F, v)
+            ds = {biquad.SPLIT: (), biquad.QUADRATIC: (lt.d,)}[lt.kind]
+            assert pair == tuple(biquad.PlaceVerdict(v, lt, all(
+                arith.hilbert(p ** e, d, v) == 1 for d in ds)) for e in (2, 1)), (F, p)
+
+
+def test_verdict_tables_do_not_grow_with_queries():
+    F = BiquadField(13, 17)
+    survey, small = F.survey_verdicts, dict(F.prime_verdicts)
+    for t in (Fraction(1031 * 65537, 1000003), Fraction(-98, 45), Fraction(7, 2 ** 40)):
+        biquad.is_everywhere_local_norm(F, t)
+    assert F.survey_verdicts is survey and F.prime_verdicts == small
+
+
+# Primes above the trial bound 2^10 that Pollard-Brent splits, in the
+# numerator, the denominator or both, next to trial primes and 2ab.
+PAST_TRIAL = [Fraction(1031 * 1000003 * 7), Fraction(1, 1031 * 1000003 * 7),
+              Fraction(1031 * 1000003, 65537 * 1000000007),
+              Fraction(7 * 65537 * 1000000007, 1031 * 1000003 * 11 ** 3),
+              Fraction(2 * 13 * 1031 ** 2 * 1000003, 17 * 65537)]
+
+
+def test_report_order_past_trial_division(monkeypatch):
+    # the report equals the oracle's whatever order the exponent map lists
+    # its primes in: as found, and reversed
+    exponents = arith.exponents
+    for order in (lambda m: m, lambda m: dict(reversed(m.items()))):
+        monkeypatch.setattr(arith, "exponents", lambda t: order(exponents(t)))
+        for F in ORACLE_FIELDS:
+            for t in PAST_TRIAL:
+                for u in (t, -t):
+                    _same_report(F, u)
+
+
+def test_decide_global_local_failures_equal_the_oracle():
+    # over the decide-stream pool, every t the oracle finds not everywhere
+    # local is a not_norm with the oracle's report, naming the first failing
+    # place, as the benchmark's check_decision reads it
+    config = SearchConfig(caps=(60,), minus_one_generates=True)
+    pool = [Fraction(s * a, b) for b in range(1, 101) for a in range(1, 101)
+            if math.gcd(a, b) == 1 for s in (1, -1)]
+    for F in (F1317, F35):
+        failures = 0
+        for t in pool:
+            ok, report = local_report_by_symbols(F, t)
+            if ok:
+                continue
+            failures += 1
+            d = biquad.decide_global(F, t, config)
+            first = next(pv for pv in report if not pv.local_norm)
+            assert (d.status, d.report) == ("not_norm", tuple(report)), (F, t)
+            assert d.justification == f"not everywhere locally a norm: fails at v={first.place}"
+        assert failures > len(pool) // 2, F
 
 
 def test_is_local_norm_reads_the_report():

@@ -319,6 +319,15 @@ def test_factorization_past_rho_budget_is_domain_error(capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1, err
 
 
+def test_zero_radicand_is_domain_error(capsys):
+    for argv in (("local", "--a", "0", "--b", "17", "--t", "3"),
+                 ("global", "--a", "13", "--b", "0", "--t", "3")):
+        status, out, err = run(capsys, *argv)
+        assert status == 1, argv
+        assert out == ""
+        assert err.startswith("error:") and "radicand" in err and len(err.splitlines()) == 1, err
+
+
 def test_domain_error_exit(capsys):
     status, _, err = run(capsys, "knot", "--a", "4", "--b", "5")
     assert status == 1
