@@ -44,14 +44,26 @@ def sieve_primes(limit: int) -> np.ndarray:
 _TRIAL_PRIMES = tuple(sieve_primes(1 << 10).tolist())  # trial divisors of _factor_positive
 
 
+# Most entries in one grouped yield of `prime_power_multiples`
+_GROUP = 4096
+
+
 def prime_power_multiples(B: int, primes: np.ndarray):
     """Walk the multiples n <= B of each power p^k <= B of the primes p in
     the sorted int64 array `primes`, as (at, i, k) for `table[at] op=
-    values[i]`.  A p <= sqrt B gives the slice of the multiples of each p^k,
-    with i its index.  A p above sqrt B divides each n <= B at most once, as
-    n = c * p with c < sqrt B, so those primes go one cofactor c at a time:
-    at = c * primes[lo:hi], i = slice(lo, hi), k = 1.  Each multiple of each
-    p^k is reached once, and no yield repeats an index."""
+    values[i]`.
+
+    A slice `at` comes with an int i: the multiples of p^k for a p =
+    primes[i] <= sqrt B.  An int64 array `at` comes with k = 1 and holds
+    multiples n = c * p of primes p above sqrt B, with c < sqrt B.  Its i is
+    slice(lo, hi), the run of primes up to B // c for one cofactor c, when
+    that run has at least _GROUP entries; the shorter runs, which follow as
+    c grows, are laid end to end and cut into groups of at most _GROUP
+    entries, each with i an int64 index array and at = c * primes[i]
+    entrywise.  Each multiple of each p^k is reached once.  No yield
+    repeats an entry of `at`, so the update is exact: two primes above
+    sqrt B never divide one n <= B, so n fixes p and then c.  The entries of
+    an index array i repeat where a group holds several cofactors."""
     r = math.isqrt(B)
     lo = int(np.searchsorted(primes, r, side="right"))
     for i, p in enumerate(primes[:lo].tolist()):
@@ -60,10 +72,21 @@ def prime_power_multiples(B: int, primes: np.ndarray):
             yield slice(q, B + 1, q), i, k
             q, k = q * p, k + 1
     cs = np.arange(1, B // (r + 1) + 1)
-    for c, hi in zip(cs.tolist(), np.searchsorted(primes, B // cs, side="right").tolist()):
-        if hi <= lo:
-            return
-        yield c * primes[lo:hi], slice(lo, hi), 1
+    runs = np.searchsorted(primes, B // cs, side="right") - lo
+    cs, runs = cs[runs > 0], runs[runs > 0]  # runs shrink as c grows
+    long = int(np.count_nonzero(runs >= _GROUP))
+    for c, n in zip(cs[:long].tolist(), runs[:long].tolist()):
+        yield c * primes[lo:lo + n], slice(lo, lo + n), 1
+    cs, runs = cs[long:], runs[long:]
+    ends = np.r_[0, np.cumsum(runs)]  # cofactor j's entries are ends[j]:ends[j + 1]
+    total = int(ends[-1])
+    for s in range(0, total, _GROUP):
+        e = min(s + _GROUP, total)
+        a = int(np.searchsorted(ends, s, side="right")) - 1
+        b = int(np.searchsorted(ends, e, side="left"))
+        n = np.diff(np.clip(ends[a:b + 1], s, e))  # entries of each cofactor
+        idx = np.arange(s, e) + np.repeat(lo - ends[a:b], n)
+        yield np.repeat(cs[a:b], n) * primes[idx], idx, 1
 
 
 # Moduli below this bound keep residues exact in int64: the product of two

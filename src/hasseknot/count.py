@@ -158,7 +158,10 @@ def local_tables(F: biquad.BiquadField, B: int) -> LocalTables:
     Legendre symbol (p|q) when the odd q | ab divides d and 1 otherwise,
     and (a|p), (b|p) are the products of those symbols over the places
     dividing 2ab, by the product formula.  Only the primes dividing 2ab go
-    through `arith.hilbert`.  `arith.prime_power_multiples` walks the powers.
+    through `arith.hilbert`.  `arith.prime_power_multiples` walks the powers:
+    a slice per power of a prime up to sqrt B, skipped for a prime without
+    bits or not bad, and the primes above as arrays of their multiples, many
+    primes and cofactors to a yield, which are always applied.
 
     Raises DomainError for B < 1, for more than 63 profile bits, and for
     B >= arith.RESIDUE_BOUND = 2^31, before allocating: the symbols multiply
@@ -203,9 +206,9 @@ def local_tables(F: biquad.BiquadField, B: int) -> LocalTables:
     for at, i, k in arith.prime_power_multiples(B, primes):
         # the multiples of p, p^2, p^3, ... flip the parity of v_p in turn;
         # the slices of a prime without bits, or not bad, change nothing
-        if isinstance(i, slice) or bits[i]:
+        if not isinstance(at, slice) or bits[i]:
             profile[at] ^= bits[i]
-        if isinstance(i, slice) or bad[i]:
+        if not isinstance(at, slice) or bad[i]:
             odd_bad[at] += bad[i] if k % 2 else -bad[i]
     p_minus = 0
     for k, (v, d) in enumerate(bit_places):

@@ -393,9 +393,11 @@ def count_ideal_norms(K: NumberField, B: int, levels: int | None = None
 
     A sieve over the prime powers by `arith.prime_power_multiples`: for each
     prime p <= B with residue gcd g > 1, add 1 at the multiples of p^k for
-    k = 1 mod g and subtract 1 for k = 0 mod g.  Of the k <= v_p(n) the first
-    kind outnumbers the second by one exactly when g does not divide v_p(n),
-    so off[n] counts the primes that keep n from being an ideal norm.  The
+    k = 1 mod g and subtract 1 for k = 0 mod g.  The primes above sqrt B
+    come with k = 1, many primes and cofactors to a yield, reading g through
+    a slice or an index array.  Of the k <= v_p(n) the first kind outnumbers
+    the second by one exactly when g does not divide v_p(n), so off[n]
+    counts the primes that keep n from being an ideal norm.  The
     gcds of all primes <= B are taken first, by `_residue_gcds`;
     UnsupportedPrimeError names the smallest prime <= B whose splitting data
     is not certified.  DomainError for B >= 2^31, before the sieve.

@@ -148,22 +148,36 @@ def test_table_factorize_cross_check():
     assert arith.table_factorize(1, T).factors == ()
 
 
-def test_prime_power_multiples_cover_each_multiple_once():
-    for B in (1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122, 1000):
-        every = arith.sieve_primes(B)
-        for primes in (every, every[::3]):
-            want = sorted((p, k, n) for p in primes.tolist()
-                          for k in range(1, B.bit_length() + 1) if p ** k <= B
-                          for n in range(p ** k, B + 1, p ** k))
-            got = []
-            for at, i, k in arith.prime_power_multiples(B, primes):
-                ns = np.arange(B + 1)[at]
-                assert len(ns) and len(set(ns.tolist())) == len(ns), (B, at)
-                ps = np.broadcast_to(primes[i], ns.shape)
-                # slices exactly for the p <= sqrt B, cofactors above
-                assert isinstance(at, slice) == (int(ps[0]) ** 2 <= B), (B, at)
-                got += [(p, k, n) for p, n in zip(ps.tolist(), ns.tolist())]
-            assert sorted(got) == want, (B, len(primes))
+def test_prime_power_multiples_cover_each_multiple_once(monkeypatch):
+    # group 1 yields one cofactor at a time; at 5 the short runs of primes
+    # above sqrt B share yields, and a group can end inside a run
+    default = arith._GROUP
+    for group in (1, 5, default):
+        monkeypatch.setattr(arith, "_GROUP", group)
+        forms = set()
+        for B in (1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122, 1000):
+            every = arith.sieve_primes(B)
+            for primes in (every, every[::3]):
+                want = sorted((p, k, n) for p in primes.tolist()
+                              for k in range(1, B.bit_length() + 1) if p ** k <= B
+                              for n in range(p ** k, B + 1, p ** k))
+                got = []
+                for at, i, k in arith.prime_power_multiples(B, primes):
+                    ns = np.arange(B + 1)[at]
+                    assert len(ns) and len(set(ns.tolist())) == len(ns), (B, at)
+                    ps = np.broadcast_to(primes[i], ns.shape)
+                    # slices exactly for the p <= sqrt B, arrays above
+                    assert isinstance(at, slice) == (int(ps[0]) ** 2 <= B), (B, at)
+                    assert isinstance(at, slice) == isinstance(i, int), (B, at, i)
+                    forms.add(type(i))
+                    got += [(p, k, n) for p, n in zip(ps.tolist(), ns.tolist())]
+                assert sorted(got) == want, (B, len(primes), group)
+        # a long run as a slice, short runs in an index array; no B here has
+        # a run as long as the default
+        assert forms == {1: {int, slice}, 5: {int, slice, np.ndarray},
+                         default: {int, np.ndarray}}[group], group
+    yields = sum(1 for _ in arith.prime_power_multiples(1 << 13, arith.sieve_primes(1 << 13)))
+    assert yields <= 80, yields  # 158 one cofactor at a time
 
 
 def test_kronecker_fixture_values():

@@ -74,6 +74,22 @@ def test_local_tables_match_per_prime_oracle():
         assert np.array_equal(got.primes, want.primes), (F, B)
 
 
+def test_tables_do_not_depend_on_the_walk_group_size(monkeypatch):
+    # group 1 is one cofactor per yield; at 7 the groups end inside runs
+    cases = [(F, B) for F in NINE_FIELDS[:3] + [WIDE] for B in (1000, 8192)]
+
+    def outputs(F, B):
+        t = count.local_tables(F, B)
+        arrays = [(x.dtype, x.tobytes()) for x in (t.ok, t.profile, t.primes)]
+        return (arrays, t.bound, t.p_minus, t.bit_places,
+                count.n_loc_series(F, B), count.count_integer_norms_local(F, B))
+
+    want = [outputs(F, B) for F, B in cases]
+    for group in (1, 7):
+        monkeypatch.setattr(arith, "_GROUP", group)
+        assert [outputs(F, B) for F, B in cases] == want, group
+
+
 def test_legendre_matches_kronecker_on_both_paths():
     # the largest prime <= 4096 is 4093: q below it reads the table of
     # squares mod q, q at or above it (4093 itself is left out of the

@@ -205,8 +205,11 @@ def test_census_blocks_split_mid_range(monkeypatch):
     want = [(numfield.delta_K_estimate(F, X), numfield.count_ideal_norms(F, X))
             for F, X in calls]
     monkeypatch.setattr(numfield, "_BLOCK", 7)
-    assert [(numfield.delta_K_estimate(F, X), numfield.count_ideal_norms(F, X))
-            for F, X in calls] == want
+    # and the walk of count_ideal_norms one cofactor per yield, or groups of 7
+    for group in (1, 7):
+        monkeypatch.setattr(arith, "_GROUP", group)
+        assert [(numfield.delta_K_estimate(F, X), numfield.count_ideal_norms(F, X))
+                for F, X in calls] == want
 
 
 def test_census_bound_guard(monkeypatch):
