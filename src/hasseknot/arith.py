@@ -58,9 +58,9 @@ def prime_power_multiples(B: int, primes: np.ndarray):
     multiples n = c * p of primes p above sqrt B, with c < sqrt B.  Its i is
     slice(lo, hi), the run of primes up to B // c for one cofactor c, when
     that run has at least _GROUP entries; the shorter runs, which follow as
-    c grows, are laid end to end and cut into groups of at most _GROUP
-    entries, each with i an int64 index array and at = c * primes[i]
-    entrywise.  Each multiple of each p^k is reached once.  No yield
+    c grows, are laid end to end by `expand_runs` and cut into groups of at
+    most _GROUP entries, each with i an int64 index array and at = c *
+    primes[i] entrywise.  Each multiple of each p^k is reached once.  No yield
     repeats an entry of `at`, so the update is exact: two primes above
     sqrt B never divide one n <= B, so n fixes p and then c.  The entries of
     an index array i repeat where a group holds several cofactors."""
@@ -78,15 +78,25 @@ def prime_power_multiples(B: int, primes: np.ndarray):
     for c, n in zip(cs[:long].tolist(), runs[:long].tolist()):
         yield c * primes[lo:lo + n], slice(lo, lo + n), 1
     cs, runs = cs[long:], runs[long:]
-    ends = np.r_[0, np.cumsum(runs)]  # cofactor j's entries are ends[j]:ends[j + 1]
-    total = int(ends[-1])
-    for s in range(0, total, _GROUP):
-        e = min(s + _GROUP, total)
-        a = int(np.searchsorted(ends, s, side="right")) - 1
-        b = int(np.searchsorted(ends, e, side="left"))
-        n = np.diff(np.clip(ends[a:b + 1], s, e))  # entries of each cofactor
-        idx = np.arange(s, e) + np.repeat(lo - ends[a:b], n)
-        yield np.repeat(cs[a:b], n) * primes[idx], idx, 1
+    for c, j in expand_runs(runs, _GROUP):
+        idx = lo + j
+        yield cs[c] * primes[idx], idx, 1
+
+
+def expand_runs(cnt: np.ndarray, size: int):
+    """Yield int64 array pairs (r, j) that list, for each run r with cnt[r]
+    entries, the entries j = 0..cnt[r] - 1, in order of r and then j.  A
+    chunk holds exactly `size` entries but the last, and may end inside a
+    run; runs with no entries are passed over."""
+    ends = np.cumsum(cnt)
+    total = int(ends[-1]) if ends.size else 0
+    for s in range(0, total, size):
+        e = min(s + size, total)
+        a = int(np.searchsorted(ends, s, side="right"))  # the run of entry s
+        b = int(np.searchsorted(ends, e, side="left")) + 1  # past the run of entry e - 1
+        starts = ends[a:b] - cnt[a:b]
+        n = np.minimum(ends[a:b], e) - np.maximum(starts, s)  # entries of each run here
+        yield np.repeat(np.arange(a, b), n), np.arange(s, e) - np.repeat(starts, n)
 
 
 # Moduli below this bound keep residues exact in int64: the product of two

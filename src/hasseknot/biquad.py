@@ -53,16 +53,18 @@ class BiquadField:
     """
 
     def __init__(self, a, b):
+        given = f"(a, b) = ({a}, {b})"
         if not a or not b:
             raise DegenerateFieldError(
-                f"(a, b) = ({a}, {b}): the radicand {'a' if not a else 'b'} is 0, "
+                f"{given}: the radicand {'a' if not a else 'b'} is 0, "
                 f"so there is no biquadratic field")
         a = arith.squarefree_kernel(a)
         b = arith.squarefree_kernel(b)
         d3 = arith.squarefree_kernel(a * b)
-        if 1 in (a, b, d3):
-            raise DegenerateFieldError(
-                f"(a, b) = ({a}, {b}) does not define a biquadratic field")
+        squares = [name for name, d in zip(("a", "b", "ab"), (a, b, d3)) if d == 1]
+        if squares:  # one of a, b, ab is a square, or all three are
+            which = f"{squares[0]} is a square" if len(squares) == 1 else "a, b and ab are squares"
+            raise DegenerateFieldError(f"{given}: {which}, so there is no biquadratic field")
         self.a = a
         self.b = b
         self.d3 = d3
@@ -532,20 +534,6 @@ def _conic_ranges(a: int, b: int, vals: np.ndarray, c: int) -> list[tuple[int, i
     return out
 
 
-def _runs(cnt: np.ndarray):
-    """Yield (idx, i) array pairs that list, for each run idx with cnt[idx]
-    entries, the entries i = 0..cnt[idx] - 1: whole runs, about _CHUNK
-    entries at a time."""
-    ends = np.cumsum(cnt)
-    s = 0
-    while s < cnt.size:
-        base = ends[s] - cnt[s]
-        e = max(s + 1, int(np.searchsorted(ends, base + _CHUNK, side="right")))
-        idx = np.repeat(np.arange(s, e), cnt[s:e])
-        yield idx, np.arange(idx.size) + base - (ends[idx] - cnt[idx])
-        s = e
-
-
 def _residues(F: BiquadField, vals: np.ndarray, c: int):
     """(k, start, n): the beta of target k's range that _conic takes a square
     root for in the box of shell c, as runs start + _SIEVE i, i < n, n > 0,
@@ -570,7 +558,7 @@ def _residues(F: BiquadField, vals: np.ndarray, c: int):
     parts = []
     for g in range(0, vals.size, group):
         kk, jj = np.nonzero(_SIEVE_SQUARES[vals[g:g + group, None] % _SIEVE + steps])
-        for p, i in _runs(offsets[jj + 1] - offsets[jj]):
+        for p, i in arith.expand_runs(offsets[jj + 1] - offsets[jj], _CHUNK):
             k, res = kk[p] + g, rhos[offsets[jj[p]] + i]
             first = -((res - lo[k]) // _SIEVE)  # the least i with res + _SIEVE i >= lo
             n = (hi[k] - res) // _SIEVE - first + 1
@@ -587,14 +575,14 @@ def _conic(a: int, b: int, vals: np.ndarray, c: int, k, start, n):
     holds (P_i - R_j, Q_i - S_j) for every point of shell <= c, from the
     runs (k, start, n) of beta = B/2 >= 0 of _residues.
 
-    The beta come about _CHUNK at a time.  Everything stays in int64 for
+    The beta come at most _CHUNK at a time.  Everything stays in int64 for
     c <= r64 and |T| <= coeff * c^4:
     4|a| beta^2 <= |a| bmax^2 = 4|a| (1 + |b|)^2 c^4 <= coeff * c^4 <= 2^63 - 1,
     and the ranges put T + 4a beta^2 in [0, amax^2] for a > 0 and in [0, T]
     for a < 0, with amax^2 <= coeff * c^4; _isqrt is exact on [0, 2^63 - 1]."""
     amax = (1 + abs(a)) * (1 + abs(b)) * c * c
     parts = []
-    for p, i in _runs(n):
+    for p, i in arith.expand_runs(n, _CHUNK):
         beta = start[p] + _SIEVE * i
         X = vals[k[p]] + 4 * a * beta * beta
         A = _isqrt(X)
@@ -624,7 +612,7 @@ def _join(F: BiquadField, c: int, A: np.ndarray, B: np.ndarray, k: np.ndarray):
     coeff >= (1 + |b|)^2 (1 + |a|)^2 >= 8 (1 + |a|) as |a|, |b| >= 1, so the
     key is below 5/8 coeff * c^4 < 2^63 for c <= r64; so are P_i - A and
     Q_i - B, of magnitude at most coeff * c^4.  The congruent pairs come
-    in chunks of about _CHUNK; each goes on to a sorted lookup of its
+    in chunks of at most _CHUNK; each goes on to a sorted lookup of its
     j-half key."""
     a, b = F.a, F.b
     n0, n1, P, Q, classes, iorder, keys, m2, m3 = _box(F, c, "join")
@@ -635,14 +623,15 @@ def _join(F: BiquadField, c: int, A: np.ndarray, B: np.ndarray, k: np.ndarray):
     umin, umax, width = min(a, 0) * c * c, (1 + max(a, 0)) * c * c, 2 * c * c + 1
 
     def points():
-        for sol, i in _runs(cnt):
+        for sol, i in arith.expand_runs(cnt, _CHUNK):
             ii = iorder[first[sol] + i]
             u, v = (P[ii] - A[sol]) // b, (Q[ii] - B[sol]) // (2 * b)
             ok = (u >= umin) & (u <= umax) & (np.abs(v) <= c * c)
             sol, ii = sol[ok], ii[ok]
             key = (u[ok] - umin) * width + v[ok] + c * c
             left = np.searchsorted(keys, key, side="left")
-            for p, j in _runs(np.searchsorted(keys, key, side="right") - left):
+            right = np.searchsorted(keys, key, side="right")
+            for p, j in arith.expand_runs(right - left, _CHUNK):
                 yield n0[ii[p]], n1[ii[p]], m2[left[p] + j], m3[left[p] + j], k[sol[p]]
 
     return int(cnt.sum()), points()

@@ -105,19 +105,6 @@ def pow_mod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
     return result
 
 
-def compose_mod(g: list[int], h: list[int], f: list[int], p: int) -> list[int]:
-    """g(h) mod (f, p) by Horner; cheap for the small degrees used here."""
-    out: list[int] = []
-    for c in reversed(g):
-        out = mod(mul(out, h, p), f, p)
-        if c:
-            if not out:
-                out = [c]
-            else:
-                out[0] = (out[0] + c) % p
-    return out
-
-
 def derivative(f: list[int], p: int) -> list[int]:
     return trim([(i * c) % p for i, c in enumerate(f)][1:])
 
@@ -159,9 +146,7 @@ def squarefree_decomposition(f: list[int], p: int) -> list[tuple[list[int], int]
 def distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """[(product of irreducible factors of degree d, d)] for monic squarefree f."""
     out: list[tuple[list[int], int]] = []
-    x = [0, 1]
-    frob = pow_mod(x, p, f, p)  # x^p mod f
-    h = frob
+    h = pow_mod([0, 1], p, f, p)  # x^(p^d) mod rest, for d = 1
     d = 1
     rest = f
     while degree(rest) >= 2 * d:
@@ -171,12 +156,10 @@ def distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
         if degree(g) > 0:
             out.append((g, d))
             rest = divmod_(rest, g, p)[0]
-            h = mod(h, rest, p)
-            frob = mod(frob, rest, p)
         d += 1
         if degree(rest) < 2 * d:
             break
-        h = compose_mod(h, frob, rest, p)
+        h = pow_mod(h, p, rest, p)
     if degree(rest) > 0:
         out.append((rest, degree(rest)))
     return out

@@ -180,6 +180,21 @@ def test_prime_power_multiples_cover_each_multiple_once(monkeypatch):
     assert yields <= 80, yields  # 158 one cofactor at a time
 
 
+def test_expand_runs_against_a_plain_loop():
+    cases = ([0, 3, 1], [2, 0, 4], [3, 1, 0, 0], [0, 0, 5, 0, 2, 0], [0, 0, 0], [], [7], [1, 9, 2])
+    for cnt in cases:
+        want = [(r, j) for r, n in enumerate(cnt) for j in range(n)]
+        for size in (1, 2, 3, 4, 7, max(1, sum(cnt)), sum(cnt) + 5):
+            chunks = list(arith.expand_runs(np.array(cnt, dtype=np.int64), size))
+            assert [r.size for r, _ in chunks] == [j.size for _, j in chunks], (cnt, size)
+            assert all(r.dtype == j.dtype == np.int64 for r, j in chunks), (cnt, size)
+            # every chunk but the last is full, and none is empty
+            assert all(r.size == size for r, _ in chunks[:-1]), (cnt, size)
+            assert all(0 < r.size <= size for r, _ in chunks), (cnt, size)
+            got = [(r, j) for rs, js in chunks for r, j in zip(rs.tolist(), js.tolist())]
+            assert got == want, (cnt, size)
+
+
 def test_kronecker_fixture_values():
     # brute-force square censuses mod 13 and 17
     assert is_square_mod_p_bruteforce(17, 13)

@@ -30,12 +30,12 @@ def test_normalization_to_squarefree_kernels():
 
 
 def test_degenerate_inputs_rejected():
-    with pytest.raises(DegenerateFieldError):
-        BiquadField(4, 5)      # a is a square
-    with pytest.raises(DegenerateFieldError):
-        BiquadField(13, 13)    # ab is a square
-    with pytest.raises(DegenerateFieldError):
-        BiquadField(2, 8)      # same square class
+    # the message names the given radicands and which of a, b, ab is a square
+    for a, b, which in ((4, 5, "a is a square"), (13, 13, "ab is a square"),
+                        (2, 8, "ab is a square"), (-7, 25, "b is a square"),
+                        (4, 9, "a, b and ab are squares"), (Fraction(1, 4), 3, "a is a square")):
+        with pytest.raises(DegenerateFieldError, match=rf"\(a, b\) = \({a}, {b}\): {which},"):
+            BiquadField(a, b)
     with pytest.raises(DomainError):
         BiquadField(0, 5)
 
