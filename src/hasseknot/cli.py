@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -25,6 +26,10 @@ EXIT_UNKNOWN = 3
 
 
 def _fraction(text: str) -> Fraction:
+    """An "a/b" or integer string; Fraction alone would also take exponents
+    such as 1e1000000 and build the huge value they denote."""
+    if re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text) is None:
+        raise argparse.ArgumentTypeError(f"not a rational a/b or integer: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -217,8 +222,11 @@ def _cmd_global(args) -> int:
 def _cmd_ideal_norm(args) -> int:
     overrides = None
     if args.overrides:
-        with open(args.overrides) as fh:
-            overrides = numfield.parse_override_table(fh.read())
+        try:
+            with open(args.overrides, encoding="utf-8") as fh:
+                overrides = numfield.parse_override_table(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.overrides}: not UTF-8 text ({exc.reason})") from None
     K = numfield.NumberField(args.poly, overrides=overrides)
     result = numfield.is_ideal_norm(K, args.t)
     _emit({"t": str(args.t), "is_ideal_norm": result},
@@ -304,14 +312,9 @@ def _selftest_product_formula(rng: random.Random, trials: int = 10000) -> bool:
 def _selftest_oracle_equivalence(B: int = 100) -> bool:
     F = biquad.BiquadField(13, 17)
     series = count.count_series(F, B, minus_one_generates=True)
-    naive = {Bi: 0 for Bi in series.grid}
-    for t in count.enumerate_heights(B):
-        if biquad.is_everywhere_local_norm(F, t)[0]:
-            H = max(abs(t.numerator), t.denominator)
-            for Bi in naive:
-                if H <= Bi:
-                    naive[Bi] += 1
-    return all(naive[Bi] == nl for Bi, nl in zip(series.grid, series.n_loc))
+    heights = [max(abs(t.numerator), t.denominator) for t in count.enumerate_heights(B)
+               if biquad.is_everywhere_local_norm(F, t)[0]]
+    return list(series.n_loc) == [sum(H <= Bi for H in heights) for Bi in series.grid]
 
 
 def _selftest_farey(B: int = 300) -> bool:

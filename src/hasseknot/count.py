@@ -6,14 +6,16 @@ Hilbert-symbol bits of each prime at the fixed places (infinity, 2, p | ab)
 are XORed into a bitmask profile of its multiples wherever its exponent is
 odd, and the other primes only need the parity of their exponent.  Away from
 2ab those bits are real characters of the prime, computed for all primes at
-once; the tables, like the Moebius function, are sieved over the prime
+once; the tables, like the Moebius weight, are sieved over the prime
 powers up to B by `arith.prime_power_multiples`.  N_loc counts the coprime
 pairs with matching profiles by Moebius inversion over the common divisor.
-A squarefree d with bad part e(d) has the class histogram of the local
-integers up to B // (d * e(d)), shifted by a profile that the pair count
-ignores, so N_loc only needs a running count of the local pairs whose
-profiles agree up to that of -1 at the O(sqrt B) values B // x; one Moebius
-sum per value serves each grid level, as (B >> k) // x = (B // x) >> k.
+The local multiples of a squarefree d are those of one x, which squares the
+bad primes of d, and their classes are those of the local integers up to
+B // x, shifted by a profile that the pair count ignores.  So N_loc only
+needs a running count of the local pairs whose profiles agree up to that of
+-1 at the O(sqrt B) values B // x, each weighted by the sum of w(x) = mu(d)
+over the x with that value, w one multiplicative int8 weight; one weight sum
+per value serves each grid level, as (B >> k) // x = (B // x) >> k.
 The global count comes from the exact half rule when the knot group is Z/2
 generated by -1, from equality when the knot group is trivial, and from a
 certificate-search lower bound otherwise.
@@ -224,22 +226,26 @@ def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
     inversion of the count of pairs (a, b) with a ~ b (sign +) or a ~ -b
     (sign -).
 
-    Let e(d) be the product of the primes p | d with ok[p] False: exactly
-    the bad primes, which lie outside the fixed places, do not split in all
-    three subfields, and must divide a passing n to even order.  So a
-    multiple m * d passes exactly when e(d) | m and m / e(d) passes, and its
-    profile is that of m / e(d) XOR that of d * e(d).  H_d is thus
-    G(B_i // (d * e(d))) with its classes shifted by one profile, where G(v)
-    is the class histogram of the passing n <= v, and Q does not change
-    under the shift.  Hence n_loc(B) = sum_u W(u) * Q(G(u)), W(u) summing
-    mu(d) over the squarefree d <= B with B // (d * e(d)) = u, a floor value
-    B // x or 0.  As (B >> k) // x = (B // x) >> k, again such a value, each
-    grid level B >> k (up to B = tables.bound) is sum_u W(u) * Q(G(u >> k));
-    the d > B >> k land at u >> k = 0, where Q is 0.  Q reads G only through
-    the key min(c, c ^ p_minus) of each class c: Q(G(u)) = kappa * S(u), with
-    kappa = 2 if p_minus = 0 and 1 otherwise and S(u) the ordered pairs of
-    passing n, n' <= u of equal key, the sum over them of 2 * rank(n) + 1,
-    rank(n) the passing n' < n of the key of n; kappa * S(u) <= 2 B^2 < 2^63."""
+    The primes p with ok[p] False are the bad ones: they lie outside the
+    fixed places, do not split in all three subfields, and divide a passing
+    n to even order.  Let x be d with each bad prime squared, a bijection
+    onto the x whose good primes have order 1 and bad primes order 2.  A
+    multiple n of d passes exactly when x | n and n / x passes, and its
+    profile is that of n / x XOR that of x.  H_d is thus G(B_i // x) with
+    its classes shifted by one profile, where G(v) is the class histogram
+    of the passing n <= v, and Q does not change under the shift.  Let w be
+    multiplicative with w(p) = -1 and w(p^2) = 0 at a good p, and w(p) =
+    w(p^3) = 0 and w(p^2) = -1 at a bad p: w(x) = mu(d) on those x and 0 off
+    them.  Hence n_loc(B) = sum_u W(u) * Q(G(u)), W(u) summing w(x) over
+    the x <= B with B // x = u, a floor value of B; the d whose x passes B
+    would land at u = 0, where Q is 0.  As (B >> k) // x = (B // x) >> k,
+    again such a value, each grid level B >> k (up to B = tables.bound) is
+    sum_u W(u) * Q(G(u >> k)); the x > B >> k land at u >> k = 0.  Q reads
+    G only through the key min(c, c ^ p_minus) of each class c:
+    Q(G(u)) = kappa * S(u), with kappa = 2 if p_minus = 0 and 1 otherwise
+    and S(u) the ordered pairs of passing n, n' <= u of equal key, the sum
+    over them of 2 * rank(n) + 1, rank(n) the passing n' < n of the key of
+    n; kappa * S(u) <= 2 B^2 < 2^63."""
     B, ok = tables.bound, tables.ok
     n = np.flatnonzero(ok[1:]) + 1  # the passing n, ascending
     key = tables.profile[n]
@@ -254,19 +260,18 @@ def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
     r = math.isqrt(B)
     floors = np.array(sorted({*range(r + 1), *(B // x for x in range(1, r + 1))}))
     Q = (2 if tables.p_minus == 0 else 1) * S[np.searchsorted(n, floors, side="right")]
-    del n, key, order, rank, S  # freed before the Moebius walk
-    mu = np.ones(B + 1, dtype=np.int8)
-    de = np.arange(B + 1, dtype=np.int64)  # d * e(d) at the squarefree d
-    e = np.where(ok[tables.primes], 1, tables.primes)  # e(p)
-    for at, i, k in arith.prime_power_multiples(B, tables.primes):
-        if k == 1:
-            mu[at] *= -1
-            de[at] *= e[i]
-        elif k == 2:
-            mu[at] = 0
-    ds = np.flatnonzero(mu[1:]) + 1
-    # W by the slot of each floor value B // (d * e(d)); slot 0 past B
-    v, plus = np.searchsorted(floors, B // de[ds]), mu[ds] > 0
+    del n, key, order, rank, S  # freed before the Moebius weight
+    w = ok.astype(np.int8)  # 0 where a bad prime has odd order
+    good = ok[tables.primes]
+    for at, _, k in arith.prime_power_multiples(B, tables.primes[good]):
+        if k <= 2:
+            w[at] *= -1 if k == 1 else 0
+    for p in tables.primes[~good & (tables.primes <= r)].tolist():
+        w[p * p::p * p] *= -1
+        w[p ** 3::p ** 3] = 0
+    xs = np.flatnonzero(w[1:]) + 1
+    # W by the slot of each floor value B // x
+    v, plus = np.searchsorted(floors, B // xs), w[xs] > 0
     W = np.bincount(v[plus], minlength=len(Q)) - np.bincount(v[~plus], minlength=len(Q))
     # level B >> k reads slot u at the slot of floors[u] >> k
     return [int(W @ Q[np.searchsorted(floors, floors >> (B.bit_length() - Bi.bit_length()))])

@@ -152,6 +152,16 @@ def test_ideal_norm_with_override_file(capsys, tmp_path):
     assert json.loads(out)["is_ideal_norm"] is True
 
 
+def test_override_file_that_is_not_utf8(capsys, tmp_path):
+    ov = tmp_path / "binary.overrides"
+    ov.write_bytes(b"\xff\xfe")
+    status, out, err = run(capsys, "ideal-norm", "--poly", "1,0,1", "--t", "5",
+                           "--overrides", str(ov))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error:") and str(ov) in err and len(err.splitlines()) == 1, err
+
+
 def test_delta(capsys):
     status, out, _ = run(capsys, "delta", "--poly", "1,0,1", "--limit", "2000",
                          "--format", "json")
@@ -300,6 +310,16 @@ def test_usage_errors(capsys):
     assert run(capsys, "knot", "--a", "13")[0] == 2        # missing --b
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "knot", "--a", "x", "--b", "17")[0] == 2
+
+
+def test_rational_is_only_a_over_b_or_an_integer(capsys):
+    # Fraction alone reads 1e1000000 as 10^1000000, which the local test
+    # would then factor
+    for t in ("1e1000000", "0.5", "1_000", "1/1e3"):
+        start = time.perf_counter()
+        status, out, err = run(capsys, "local", "--a", "13", "--b", "17", "--t", t)
+        assert time.perf_counter() - start < 1, t
+        assert status == 2 and out == "" and "--t" in err, t
 
 
 def test_levels_zero_is_domain_error(capsys):

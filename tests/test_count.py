@@ -204,6 +204,18 @@ def test_n_loc_series_memory_with_many_classes():
     assert peak < 16 * 2 ** 20, peak
 
 
+def test_n_loc_series_moebius_stage_holds_no_int64_table():
+    # the Moebius weight is one int8 array of B + 1 entries; an int64 table
+    # of d * e(d) would add 8 MB at 2^20 to the tables' own 12.5 MB peak
+    tracemalloc.start()
+    try:
+        count.n_loc_series(F1317, 1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20, peak
+
+
 def test_n_loc_pins():
     # n_loc at B as the counter with one bincount per divisor gave it
     for F, B, n_loc in ((F1317, 1 << 15, 7658302), (F35, 1 << 15, 3388475),
