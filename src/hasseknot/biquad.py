@@ -38,9 +38,9 @@ class BiquadField:
     order, computed once.  `bit_places` holds the norm conditions there, in
     the same order: the pairs (v, d) such that t is a local norm at v
     exactly when (t, d)_v = 1 for each of them; none for a split type, d
-    for Quadratic(d), a and b for the biquadratic type.  The bits of
-    `count.local_tables` read them.  `unramified_types` holds the three
-    types away from 2ab: Quadratic(a), Quadratic(b) and split.
+    for Quadratic(d), a and b for the biquadratic type; `count.local_tables`
+    reads them through `profile_tables`.  `unramified_types` holds the
+    three types away from 2ab: Quadratic(a), Quadratic(b) and split.
 
     is_everywhere_local_norm reads two verdict tables, keyed by place only.
     `survey_verdicts` holds, for each survey place, its p and a map from
@@ -104,6 +104,33 @@ class BiquadField:
         if cert is not None:
             return f"-1 is a global norm, with certificate ({', '.join(map(str, cert.coords))})"
         return None
+
+    @cached_property
+    def profile_tables(self):
+        """What `count.local_tables` needs of the field at every bound: the
+        profile dtype, the narrowest unsigned one that holds a bit per entry
+        of `bit_places`; the bits of the primes dividing 2ab, ascending; the
+        profile of -1; and per place v | 2ab its p and two tables read at the
+        unit class of a prime p outside 2ab there (p mod 8 at 2, 0 or 1 for
+        (p|q) = 1 or -1 at odd q): the bits (p, d)_v of the conditions at v,
+        and ((p, a)_v = -1) | ((p, b)_v = -1) << 1 as uint8, apart from the
+        bits, which may fill 63 of 64.  Built once per field, on first use.
+        DomainError for more than 63 bits."""
+        conds = list(enumerate(self.bit_places))
+        if len(conds) > 63:
+            raise DomainError(f"{len(conds)} profile bits exceed the 63 of an int64")
+        dtype = np.min_scalar_type((1 << len(conds)) - 1)
+        places = []
+        for v, _ in self.survey[1:]:
+            def neg(c, d, p=v.p):  # (u, d)_p = -1 for the units u of class c at p
+                return arith.symbol((0, c), arith.symbol_class(d, p), p) == -1
+            units = range(8) if v.p == 2 else (1, -1)  # the even entries at 2 go unread
+            bits = [sum(1 << k for k, (w, d) in conds if w == v and neg(c, d)) for c in units]
+            ab = [neg(c, self.a) | neg(c, self.b) << 1 for c in units]
+            places.append((v.p, np.array(bits, dtype), np.array(ab, np.uint8)))
+        *fixed, minus = [sum(1 << k for k, (v, d) in conds if arith.hilbert(x, d, v) == -1)
+                         for x in (*sorted(self.ramified_support), -1)]
+        return dtype, np.array(fixed, dtype), minus, tuple(places)
 
     def __eq__(self, other):
         return isinstance(other, BiquadField) and (self.a, self.b) == (other.a, other.b)

@@ -1,24 +1,24 @@
 """Counting harness for N_loc(B), N_glob(B), N_ce(B) over a biquadratic field.
 
 Rationals t = a/b are enumerated by height H(t) = max(|a|, b).  The
-everywhere-local test is evaluated through per-integer tables: the
-Hilbert-symbol bits of each prime at the fixed places (infinity, 2, p | ab)
-are XORed into a bitmask profile of its multiples wherever its exponent is
-odd, and the other primes only need the parity of their exponent.  Away from
-2ab those bits are real characters of the prime, computed for all primes at
-once; the tables, like the Moebius weight, are sieved over the prime
-powers up to B by `arith.prime_power_multiples`.  N_loc counts the coprime
-pairs with matching profiles by Moebius inversion over the common divisor.
-The local multiples of a squarefree d are those of one x, which squares the
-bad primes of d, and their classes are those of the local integers up to
-B // x, shifted by a profile that the pair count ignores.  So N_loc only
-needs a running count of the local pairs whose profiles agree up to that of
--1 at the O(sqrt B) values B // x, each weighted by the sum of w(x) = mu(d)
-over the x with that value, w one multiplicative int8 weight; one weight sum
-per value serves each grid level, as (B >> k) // x = (B // x) >> k.
-The global count comes from the exact half rule when the knot group is Z/2
-generated by -1, from equality when the knot group is trivial, and from a
-certificate-search lower bound otherwise.
+everywhere-local test reads per-integer tables, sieved over the prime powers
+up to B by `arith.prime_power_multiples` with one table update per power: a
+bad prime marks where its exponent is odd, and any other prime XORs its
+Hilbert-symbol bits at the fixed places (infinity, 2, p | ab) into the
+profile of its multiples, an unsigned bitmask no wider than the bits, read
+only where n passes.  Away from 2ab the bits are real characters of p, read
+for all primes at once from per-field tables.  N_loc counts the coprime pairs
+with matching profiles by Moebius inversion over the common divisor.  The
+local multiples of a squarefree d are those of one x, which squares the bad
+primes of d, and their classes are those of the local integers up to B // x,
+shifted by a profile that the pair count ignores.  So N_loc only needs a
+running count of the local pairs whose profiles agree up to that of -1 at the
+O(sqrt B) values B // x, each weighted by the sum of w(x) = mu(d) over the x
+with that value, w one multiplicative int8 weight; one weight sum per value
+serves each grid level, as (B >> k) // x = (B // x) >> k.  The global count
+comes from the exact half rule when the knot group is Z/2 generated by -1,
+from equality when the knot group is trivial, and from a certificate-search
+lower bound otherwise.
 """
 
 from __future__ import annotations
@@ -95,8 +95,9 @@ class FitResult:
 @dataclass(frozen=True)
 class LocalTables:
     """Per-integer data for 1..B: `ok[n]` says no non-split prime outside the
-    fixed places divides n to odd order; `profile[n]` packs the Hilbert-symbol
-    bits of n at the fixed places; `p_minus` is the profile of -1; `primes`
+    fixed places divides n to odd order; where it holds, `profile[n]` packs
+    the Hilbert-symbol bits of n at the fixed places, in the narrowest
+    unsigned dtype that holds them; `p_minus` is the profile of -1; `primes`
     are the primes up to B that the tables were sieved over, as int64."""
 
     bound: int
@@ -124,8 +125,8 @@ def _legendre(q: int, primes: np.ndarray) -> np.ndarray:
       to B: a table of the nonzero squares mod q, i^2 mod q for
       i = 1..(q - 1) / 2, read at p mod q, which is nonzero as p != q.
       i^2 < q^2 < 2^62 is exact in int64.  The table takes q <= B bytes
-      and its squares 4q bytes while it is built, below the 8 bytes per
-      integer of the local tables; this path is one pass over `primes`.
+      and its squares 4q bytes while it is built; this path is one pass
+      over `primes`.
     - q above it, of any size (q = 2^89 - 1, say), where no table of q
       entries is affordable: by reciprocity (p|q) is (q|p), negated when
       p = q = 3 mod 4, and (q|p) is Euler's criterion on q mod p, exact in
@@ -152,18 +153,15 @@ def local_tables(F: biquad.BiquadField, B: int) -> LocalTables:
     """The per-integer tables of F for 1..B.
 
     Profile bit k is the k-th norm condition (v, d) of `F.bit_places`: the
-    Hilbert symbol (n, d)_v is -1.  Each prime p <= B XORs its bits
-    (p, d)_v into the profile of every n it divides to odd order, and a bad
-    prime (outside 2ab, with (a|p) and (b|p) not both 1) makes n fail.  For
-    p outside 2ab these are real characters of p, computed for all such
-    primes at once: (p, d)_2 is a function of p mod 8, (p, d)_q is the
-    Legendre symbol (p|q) when the odd q | ab divides d and 1 otherwise,
-    and (a|p), (b|p) are the products of those symbols over the places
-    dividing 2ab, by the product formula.  Only the primes dividing 2ab go
-    through `arith.hilbert`.  `arith.prime_power_multiples` walks the powers:
-    a slice per power of a prime up to sqrt B, skipped for a prime without
-    bits or not bad, and the primes above as arrays of their multiples, many
-    primes and cofactors to a yield, which are always applied.
+    Hilbert symbol (n, d)_v is -1.  A bad prime p (outside 2ab, with (a|p)
+    and (b|p) not both 1) makes n fail where it divides n to odd order; any
+    other prime XORs its bits (p, d)_v into the profile of the n it divides
+    to odd order.  A bad prime's bits would cancel where n passes, so they
+    are left out, and the profile is read only where `ok` holds.  Outside
+    2ab the bits and (a|p), (b|p) are characters of p, products over the
+    places of 2ab by the product formula, read from `F.profile_tables` at
+    p mod 8 and (p|q).  `arith.prime_power_multiples` walks the primes with
+    bits, then the bad ones: one table update per power's multiples.
 
     Raises DomainError for B < 1, for more than 63 profile bits, and for
     B >= arith.RESIDUE_BOUND = 2^31, before allocating: the symbols multiply
@@ -173,50 +171,25 @@ def local_tables(F: biquad.BiquadField, B: int) -> LocalTables:
     if B >= arith.RESIDUE_BOUND:
         raise DomainError("B must be below 2^31: the local tables multiply "
                           "residues mod primes up to B in int64")
-    bit_places = F.bit_places
-    if len(bit_places) > 63:
-        raise DomainError(f"{len(bit_places)} profile bits exceed the 63 of an int64")
+    dtype, fixed_bits, p_minus, places = F.profile_tables
     primes = arith.sieve_primes(B)
-    fixed = [v for v, _ in F.survey[1:]]  # the places 2 and q | ab
-    at_fixed = np.isin(primes, sorted(F.ramified_support))
-    gen = primes[~at_fixed]  # the primes outside 2ab
-    legendre = {v.p: _legendre(v.p, gen) for v in fixed if v.p != 2}
-    ones = np.ones(len(gen), dtype=np.int8)
-
-    def symbol(d: int, v: Place) -> np.ndarray:
-        """(p, d)_v at the p in gen, as +-1; 1 at the real place as p > 0."""
-        if v.p is None:
-            return ones
-        if v.p == 2:
-            mod8 = [arith.hilbert(r, d, v) if r % 2 else 1 for r in range(8)]
-            return np.array(mod8, dtype=np.int8)[gen % 8]
-        return legendre[v.p] if d % v.p == 0 else ones
-
-    bits = np.zeros(len(primes), dtype=np.int64)
-    bits[~at_fixed] = sum((symbol(d, v) == -1).astype(np.int64) << k
-                          for k, (v, d) in enumerate(bit_places))
-    bits[at_fixed] = [sum(1 << k for k, (v, d) in enumerate(bit_places)
-                          if arith.hilbert(p, d, v) == -1)
-                      for p in primes[at_fixed].tolist()]
-    bad = np.zeros(len(primes), dtype=np.int8)
-    # (a|p) and (b|p) by the product formula over the places dividing 2ab
-    bad[~at_fixed] = (np.prod([symbol(F.a, v) for v in fixed], axis=0) == -1) | (
-        np.prod([symbol(F.b, v) for v in fixed], axis=0) == -1)
-    profile = np.zeros(B + 1, dtype=np.int64)
-    # odd_bad[n]: bad primes dividing n to odd order
-    odd_bad = np.zeros(B + 1, dtype=np.int8)
-    for at, i, k in arith.prime_power_multiples(B, primes):
-        # the multiples of p, p^2, p^3, ... flip the parity of v_p in turn;
-        # the slices of a prime without bits, or not bad, change nothing
-        if not isinstance(at, slice) or bits[i]:
-            profile[at] ^= bits[i]
-        if not isinstance(at, slice) or bad[i]:
-            odd_bad[at] += bad[i] if k % 2 else -bad[i]
-    p_minus = 0
-    for k, (v, d) in enumerate(bit_places):
-        if arith.hilbert(-1, d, v) == -1:
-            p_minus |= 1 << k
-    return LocalTables(B, odd_bad == 0, profile, p_minus, bit_places, primes)
+    fixed = np.isin(primes, sorted(F.ramified_support))
+    gen = primes[~fixed]  # the primes outside 2ab
+    bits, ab = np.zeros(len(primes), dtype), np.zeros(len(primes), np.uint8)
+    bits[fixed] = fixed_bits[:np.count_nonzero(fixed)]
+    for q, bits_at, ab_at in places:
+        c = gen % 8 if q == 2 else (_legendre(q, gen) < 0).view(np.uint8)
+        bits[~fixed] ^= bits_at[c]
+        ab[~fixed] ^= ab_at[c]
+    walk = (ab == 0) & (bits != 0)  # the primes with bits that are not bad
+    profile, bits = np.zeros(B + 1, dtype), bits[walk]
+    for at, i, _ in arith.prime_power_multiples(B, primes[walk]):
+        # the multiples of p, p^2, p^3, ... flip the parity of v_p in turn
+        profile[at] ^= bits[i]
+    odd_bad = np.zeros(B + 1, dtype=np.int8)  # bad primes dividing n to odd order
+    for at, _, k in arith.prime_power_multiples(B, primes[ab != 0]):
+        odd_bad[at] += 1 if k % 2 else -1
+    return LocalTables(B, odd_bad == 0, profile, p_minus, F.bit_places, primes)
 
 
 def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:

@@ -397,10 +397,11 @@ def count_ideal_norms(K: NumberField, B: int, levels: int | None = None
     come with k = 1, many primes and cofactors to a yield, reading g through
     a slice or an index array.  Of the k <= v_p(n) the first kind outnumbers
     the second by one exactly when g does not divide v_p(n), so off[n]
-    counts the primes that keep n from being an ideal norm.  The
-    gcds of all primes <= B are taken first, by `_residue_gcds`;
-    UnsupportedPrimeError names the smallest prime <= B whose splitting data
-    is not certified.  DomainError for B >= 2^31, before the sieve.
+    counts the primes that keep n from being an ideal norm, and level B_i
+    is B_i less the nonzero off[1..B_i].  The gcds of all primes <= B are
+    taken first, by `_residue_gcds`; UnsupportedPrimeError names the
+    smallest prime <= B whose splitting data is not certified.  DomainError
+    for B >= 2^31, before the sieve.
     """
     grid = doubling_grid(B, levels)
     _check_census_bound("B", B)
@@ -411,5 +412,4 @@ def count_ideal_norms(K: NumberField, B: int, levels: int | None = None
     for at, i, k in arith.prime_power_multiples(B, primes):
         step = k % g[i]
         off[at] += (step == 1).astype(np.int8) - (step == 0)
-    cum = np.cumsum(off[1:] == 0)
-    return [(Bi, int(cum[Bi - 1])) for Bi in grid]
+    return [(Bi, Bi - int(np.count_nonzero(off[1:Bi + 1]))) for Bi in grid]

@@ -68,7 +68,8 @@ def test_local_tables_match_per_prime_oracle():
     for F, B in cases + [(WIDE, 200)]:
         got, want = count.local_tables(F, B), local_tables_by_prime(F, B)
         assert np.array_equal(got.ok, want.ok), (F, B)
-        assert np.array_equal(got.profile, want.profile), (F, B)
+        # the profile is defined where n passes: a bad prime's bits are left out
+        assert np.array_equal(got.profile[got.ok], want.profile[want.ok]), (F, B)
         assert got.p_minus == want.p_minus, (F, B)
         assert got.bit_places == want.bit_places, (F, B)
         assert np.array_equal(got.primes, want.primes), (F, B)
@@ -277,6 +278,46 @@ def test_local_tables_profile_width():
     odd = arith.sieve_primes(400).tolist()[1:]  # 77 primes, 117 bit places
     with pytest.raises(DomainError):
         count.local_tables(BiquadField(math.prod(odd[0::2]), math.prod(odd[1::2])), 10)
+
+
+def _dealt(n: int, two: int) -> BiquadField:
+    """Q(sqrt a, sqrt b) with the first n odd primes dealt alternately to
+    a = two * ... and b = -..."""
+    odd = arith.sieve_primes(400).tolist()[1:n + 1]
+    return BiquadField(two * math.prod(odd[0::2]), -math.prod(odd[1::2]))
+
+
+def test_profile_width_edges():
+    # 8 bits fill a uint8 and 9 take a uint16; at 62 and 63 bits nothing
+    # kept beside the profile, such as the (a|p), (b|p) bits, may overflow
+    cases = [(BiquadField(42, 5), 8, np.uint8), (BiquadField(-42, 5), 9, np.uint16),
+             (_dealt(38, 2), 62, np.uint64), (_dealt(35, 2), 63, np.uint64)]
+    for F, nbits, dtype in cases:
+        assert len(F.bit_places) == nbits, F
+        for B in (100, 2048):
+            got, want = count.local_tables(F, B), local_tables_by_prime(F, B)
+            assert got.profile.dtype == dtype, (F, B)
+            assert np.array_equal(got.ok, want.ok), (F, B)
+            assert got.profile[got.ok].tolist() == want.profile[want.ok].tolist(), (F, B)
+            assert got.p_minus == want.p_minus, (F, B)
+            grid, n_loc = count.n_loc_series(F, B)
+            assert n_loc == n_loc_by_class_search(grid, got), (F, B)
+    F = _dealt(38, 1)
+    assert len(F.bit_places) == 64
+    with pytest.raises(DomainError, match="64 profile bits exceed the 63 of an int64"):
+        count.local_tables(F, 10)
+
+
+def test_count_integer_norms_local_memory():
+    # (13, 17) has 3 bits, so the profile is one byte per integer: the peak
+    # at 2^20 is about 5 MB, and an int64 profile would add 7 MB
+    tracemalloc.start()
+    try:
+        count.count_integer_norms_local(F1317, 1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
 
 
 def test_count_integer_norms_local():

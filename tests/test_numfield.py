@@ -173,6 +173,7 @@ def test_census_pins_at_2000():
     assert numfield.delta_K_estimate(GAUSS, 2000)[:2] == (147, 302)
     rows = numfield.count_ideal_norms(GAUSS, 2000)
     assert rows[-3:] == [(500, 177), (1000, 330), (2000, 619)]
+    assert all(type(c) is int for _, c in rows)  # not numpy scalars
 
 
 def test_census_pins_at_10_5_for_degrees_3_to_5():
