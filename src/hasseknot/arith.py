@@ -10,6 +10,7 @@ of its square class, so the symbols run on Python ints only.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,7 +49,8 @@ _TRIAL_PRIMES = tuple(sieve_primes(1 << 10).tolist())  # trial divisors of _fact
 _GROUP = 4096
 
 
-def prime_power_multiples(B: int, primes: np.ndarray):
+def prime_power_multiples(B: int, primes: np.ndarray,
+                          cofactors: Callable[[], np.ndarray] | None = None):
     """Walk the multiples n <= B of each power p^k <= B of the primes p in
     the sorted int64 array `primes`, as (at, i, k) for `table[at] op=
     values[i]`.
@@ -60,10 +62,18 @@ def prime_power_multiples(B: int, primes: np.ndarray):
     that run has at least _GROUP entries; the shorter runs, which follow as
     c grows, are laid end to end by `expand_runs` and cut into groups of at
     most _GROUP entries, each with i an int64 index array and at = c *
-    primes[i] entrywise.  Each multiple of each p^k is reached once.  No yield
-    repeats an entry of `at`, so the update is exact: two primes above
-    sqrt B never divide one n <= B, so n fixes p and then c.  The entries of
-    an index array i repeat where a group holds several cofactors."""
+    primes[i] entrywise.  No yield repeats an entry of `at`, so the update
+    is exact: two primes above sqrt B never divide one n <= B, so n fixes p
+    and then c.  The entries of an index array i repeat where a group holds
+    several cofactors.
+
+    Every c is walked by default, so each multiple of each p^k is reached
+    once.  Otherwise `cofactors()` is called once the slices are all
+    yielded, and returns the ascending int64 c >= 1 to walk above sqrt B;
+    no other multiple above sqrt B comes.  A c < sqrt B has only prime
+    factors <= sqrt B, so a caller's table entry at c is final by then, and
+    a caller whose update at c * p follows from its entry at c can leave out
+    the c where that entry already decides n."""
     r = math.isqrt(B)
     lo = int(np.searchsorted(primes, r, side="right"))
     for i, p in enumerate(primes[:lo].tolist()):
@@ -71,7 +81,7 @@ def prime_power_multiples(B: int, primes: np.ndarray):
         while q <= B:
             yield slice(q, B + 1, q), i, k
             q, k = q * p, k + 1
-    cs = np.arange(1, B // (r + 1) + 1)
+    cs = np.arange(1, B // (r + 1) + 1) if cofactors is None else cofactors()
     runs = np.searchsorted(primes, B // cs, side="right") - lo
     cs, runs = cs[runs > 0], runs[runs > 0]  # runs shrink as c grows
     long = int(np.count_nonzero(runs >= _GROUP))
@@ -112,6 +122,16 @@ def residues(q: int, moduli: np.ndarray) -> np.ndarray:
     for shift in range(abs(q).bit_length() // 32 * 32, -1, -32):
         r = ((r << 32) | ((abs(q) >> shift) & 0xFFFFFFFF)) % moduli
     return -r % moduli if q < 0 else r
+
+
+def nonzero_squares(q: int) -> np.ndarray:
+    """The bool table over 0..q - 1 of the nonzero squares mod the odd
+    prime q < RESIDUE_BOUND: i^2 mod q for i = 1..(q - 1) / 2, exact in
+    int64."""
+    i = np.arange(1, q // 2 + 1, dtype=np.int64)
+    square = np.zeros(q, dtype=bool)
+    square[i * i % q] = True
+    return square
 
 
 def is_prime(n: int) -> bool:

@@ -26,6 +26,9 @@ BIQUADRATIC = "biquadratic"
 
 _GV = {SPLIT: 4, QUADRATIC: 2, BIQUADRATIC: 1}
 
+# Most residues mod M in one table of `BiquadField.profile_tables`
+_RESIDUE_GROUP = 1 << 16
+
 
 class BiquadField:
     """Q(sqrt a, sqrt b) for squarefree a, b defining a genuine (Z/2)^2 field.
@@ -109,28 +112,43 @@ class BiquadField:
     def profile_tables(self):
         """What `count.local_tables` needs of the field at every bound: the
         profile dtype, the narrowest unsigned one that holds a bit per entry
-        of `bit_places`; the bits of the primes dividing 2ab, ascending; the
-        profile of -1; and per place v | 2ab its p and two tables read at the
-        unit class of a prime p outside 2ab there (p mod 8 at 2, 0 or 1 for
-        (p|q) = 1 or -1 at odd q): the bits (p, d)_v of the conditions at v,
-        and ((p, a)_v = -1) | ((p, b)_v = -1) << 1 as uint8, apart from the
-        bits, which may fill 63 of 64.  Built once per field, on first use.
+        of `bit_places`; the primes dividing 2ab, ascending, and their bits;
+        the profile of -1; and the residue groups.  The places v | 2ab are
+        taken in order, with modulus 8 at 2 and q at an odd q, and a group is
+        closed before the product M of its moduli would pass _RESIDUE_GROUP.
+        Each group (M, bits, ab) holds two tables read at p mod M for a prime
+        p outside 2ab: the XOR over its places of the bits (p, d)_v of the
+        conditions at v, and of ((p, a)_v = -1) | ((p, b)_v = -1) << 1 as
+        uint8, apart from the bits, which may fill 63 of 64.  A radicand
+        prime q above the bound is a group (q, bits, ab) of its own, read at
+        0 or 1 for (p|q) = 1 or -1.  Built once per field, on first use.
         DomainError for more than 63 bits."""
         conds = list(enumerate(self.bit_places))
         if len(conds) > 63:
             raise DomainError(f"{len(conds)} profile bits exceed the 63 of an int64")
         dtype = np.min_scalar_type((1 << len(conds)) - 1)
-        places = []
+        groups = []  # the places come in order, so any q above the bound come last
         for v, _ in self.survey[1:]:
             def neg(c, d, p=v.p):  # (u, d)_p = -1 for the units u of class c at p
                 return arith.symbol((0, c), arith.symbol_class(d, p), p) == -1
             units = range(8) if v.p == 2 else (1, -1)  # the even entries at 2 go unread
-            bits = [sum(1 << k for k, (w, d) in conds if w == v and neg(c, d)) for c in units]
-            ab = [neg(c, self.a) | neg(c, self.b) << 1 for c in units]
-            places.append((v.p, np.array(bits, dtype), np.array(ab, np.uint8)))
-        *fixed, minus = [sum(1 << k for k, (v, d) in conds if arith.hilbert(x, d, v) == -1)
-                         for x in (*sorted(self.ramified_support), -1)]
-        return dtype, np.array(fixed, dtype), minus, tuple(places)
+            bits = np.array([sum(1 << k for k, (w, d) in conds if w == v and neg(c, d))
+                             for c in units], dtype)
+            ab = np.array([neg(c, self.a) | neg(c, self.b) << 1 for c in units], np.uint8)
+            m = 8 if v.p == 2 else v.p
+            if m > _RESIDUE_GROUP:
+                groups.append((v.p, bits, ab))
+                continue
+            if not groups or groups[-1][0] * m > _RESIDUE_GROUP:
+                groups.append((1, np.zeros(1, dtype), np.zeros(1, np.uint8)))
+            M, bits_at, ab_at = groups[-1]
+            r = np.arange(M * m)  # by the CRT, r mod M and r mod m run over all pairs
+            c = r % 8 if v.p == 2 else (~arith.nonzero_squares(v.p))[r % v.p].view(np.uint8)
+            groups[-1] = (M * m, bits_at[r % M] ^ bits[c], ab_at[r % M] ^ ab[c])
+        fixed = tuple(sorted(self.ramified_support))
+        *fixed_bits, minus = [sum(1 << k for k, (v, d) in conds if arith.hilbert(x, d, v) == -1)
+                              for x in (*fixed, -1)]
+        return dtype, fixed, np.array(fixed_bits, dtype), minus, tuple(groups)
 
     def __eq__(self, other):
         return isinstance(other, BiquadField) and (self.a, self.b) == (other.a, other.b)

@@ -133,10 +133,7 @@ def _legendre(q: int, primes: np.ndarray) -> np.ndarray:
       int64 as every product of two residues is below 2^62, about log2 p
       modular-multiply passes over `primes`."""
     if primes.size and q <= primes[-1]:
-        i = np.arange(1, q // 2 + 1, dtype=np.int64)
-        square = np.zeros(q, dtype=bool)
-        square[i * i % q] = True
-        return np.where(square[primes % q], 1, -1).astype(np.int8)
+        return np.where(arith.nonzero_squares(q)[primes % q], 1, -1).astype(np.int8)
     r = arith.residues(q, primes)
     e, s = primes >> 1, np.ones_like(primes)  # s = r^((p - 1) / 2) mod p at the end
     while e.any():
@@ -160,8 +157,13 @@ def local_tables(F: biquad.BiquadField, B: int) -> LocalTables:
     are left out, and the profile is read only where `ok` holds.  Outside
     2ab the bits and (a|p), (b|p) are characters of p, products over the
     places of 2ab by the product formula, read from `F.profile_tables` at
-    p mod 8 and (p|q).  `arith.prime_power_multiples` walks the primes with
-    bits, then the bad ones: one table update per power's multiples.
+    p mod M, one lookup per group of places, or at (p|q) for a radicand
+    prime q past the groups' bound.  `arith.prime_power_multiples` walks
+    the bad primes, then those with bits: one table update per power's
+    multiples.  A prime p above sqrt B divides n = c * p once, and c <
+    sqrt B is final once the primes up to sqrt B are walked: n fails with c
+    or with a bad p, and passes with c otherwise.  So both walks above
+    sqrt B take only the c that pass, and a bad p just marks c * p.
 
     Raises DomainError for B < 1, for more than 63 profile bits, and for
     B >= arith.RESIDUE_BOUND = 2^31, before allocating: the symbols multiply
@@ -171,25 +173,35 @@ def local_tables(F: biquad.BiquadField, B: int) -> LocalTables:
     if B >= arith.RESIDUE_BOUND:
         raise DomainError("B must be below 2^31: the local tables multiply "
                           "residues mod primes up to B in int64")
-    dtype, fixed_bits, p_minus, places = F.profile_tables
+    dtype, fixed, fixed_bits, p_minus, groups = F.profile_tables
     primes = arith.sieve_primes(B)
-    fixed = np.isin(primes, sorted(F.ramified_support))
-    gen = primes[~fixed]  # the primes outside 2ab
-    bits, ab = np.zeros(len(primes), dtype), np.zeros(len(primes), np.uint8)
-    bits[fixed] = fixed_bits[:np.count_nonzero(fixed)]
-    for q, bits_at, ab_at in places:
-        c = gen % 8 if q == 2 else (_legendre(q, gen) < 0).view(np.uint8)
-        bits[~fixed] ^= bits_at[c]
-        ab[~fixed] ^= ab_at[c]
+    own = np.searchsorted(primes, [p for p in fixed if p <= B])  # the primes of 2ab
+    gen = np.delete(primes, own)
+    bits, ab = np.zeros(len(gen), dtype), np.zeros(len(gen), np.uint8)
+    for m, bits_at, ab_at in groups:  # a table per residue mod m, or per (p|m)
+        c = gen % m if len(bits_at) == m else (_legendre(m, gen) < 0).view(np.uint8)
+        bits ^= bits_at[c]
+        ab ^= ab_at[c]
+    del gen, c
+    own -= np.arange(len(own))  # where each prime of 2ab goes among the others
+    bits, ab = np.insert(bits, own, fixed_bits[:len(own)]), np.insert(ab, own, 0)
+    r = math.isqrt(B)
+    odd_bad = np.zeros(B + 1, dtype=np.int8)  # bad primes dividing n to odd order
+    for at, _, k in arith.prime_power_multiples(
+            B, primes[ab != 0], lambda: np.flatnonzero(odd_bad[1:r + 1] == 0) + 1):
+        if isinstance(at, slice):
+            odd_bad[at] += 1 if k % 2 else -1
+        else:  # p > sqrt B divides c * p once, and c passes
+            odd_bad[at] = 1
+    ok = odd_bad == 0
+    del odd_bad
     walk = (ab == 0) & (bits != 0)  # the primes with bits that are not bad
     profile, bits = np.zeros(B + 1, dtype), bits[walk]
-    for at, i, _ in arith.prime_power_multiples(B, primes[walk]):
+    for at, i, _ in arith.prime_power_multiples(
+            B, primes[walk], lambda: np.flatnonzero(ok[1:r + 1]) + 1):
         # the multiples of p, p^2, p^3, ... flip the parity of v_p in turn
         profile[at] ^= bits[i]
-    odd_bad = np.zeros(B + 1, dtype=np.int8)  # bad primes dividing n to odd order
-    for at, _, k in arith.prime_power_multiples(B, primes[ab != 0]):
-        odd_bad[at] += 1 if k % 2 else -1
-    return LocalTables(B, odd_bad == 0, profile, p_minus, F.bit_places, primes)
+    return LocalTables(B, ok, profile, p_minus, F.bit_places, primes)
 
 
 def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
@@ -218,7 +230,10 @@ def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
     Q(G(u)) = kappa * S(u), with kappa = 2 if p_minus = 0 and 1 otherwise
     and S(u) the ordered pairs of passing n, n' <= u of equal key, the sum
     over them of 2 * rank(n) + 1, rank(n) the passing n' < n of the key of
-    n; kappa * S(u) <= 2 B^2 < 2^63."""
+    n; kappa * S(u) <= 2 B^2 < 2^63.  The grid levels are read in one
+    product.  The weight takes the bad primes' slices first, then walks the
+    good primes; above sqrt B, w(c * p) = -w(c) at a good p with c < sqrt B,
+    so only the c with w(c) != 0 are walked."""
     B, ok = tables.bound, tables.ok
     n = np.flatnonzero(ok[1:]) + 1  # the passing n, ascending
     key = tables.profile[n]
@@ -229,26 +244,28 @@ def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
     rank = np.empty_like(order)
     rank[order] = np.arange(len(n)) - np.repeat(first, np.diff(np.r_[first, len(n)]))
     S = np.r_[0, np.cumsum(2 * rank + 1)]  # S at the first j passing n
-    # Q at 0 and at the floor values of B, in slots
+    # Q at 0 and at the floor values of B, in slots: 0..r, then B // x for
+    # x = r..1, where B // r = r comes once
     r = math.isqrt(B)
-    floors = np.array(sorted({*range(r + 1), *(B // x for x in range(1, r + 1))}))
+    floors = np.r_[np.arange(r + (B // r > r)), B // np.arange(r, 0, -1)]
     Q = (2 if tables.p_minus == 0 else 1) * S[np.searchsorted(n, floors, side="right")]
     del n, key, order, rank, S  # freed before the Moebius weight
     w = ok.astype(np.int8)  # 0 where a bad prime has odd order
     good = ok[tables.primes]
-    for at, _, k in arith.prime_power_multiples(B, tables.primes[good]):
-        if k <= 2:
-            w[at] *= -1 if k == 1 else 0
     for p in tables.primes[~good & (tables.primes <= r)].tolist():
         w[p * p::p * p] *= -1
         w[p ** 3::p ** 3] = 0
+    for at, _, k in arith.prime_power_multiples(
+            B, tables.primes[good], lambda: np.flatnonzero(w[1:r + 1]) + 1):
+        if k <= 2:
+            w[at] *= -1 if k == 1 else 0
     xs = np.flatnonzero(w[1:]) + 1
     # W by the slot of each floor value B // x
     v, plus = np.searchsorted(floors, B // xs), w[xs] > 0
     W = np.bincount(v[plus], minlength=len(Q)) - np.bincount(v[~plus], minlength=len(Q))
-    # level B >> k reads slot u at the slot of floors[u] >> k
-    return [int(W @ Q[np.searchsorted(floors, floors >> (B.bit_length() - Bi.bit_length()))])
-            for Bi in grid]
+    # level B >> k reads slot u at the slot of floors[u] >> k, all levels at once
+    shift = np.array([B.bit_length() - Bi.bit_length() for Bi in grid])
+    return (Q[np.searchsorted(floors, floors >> shift[:, None])] @ W).tolist()
 
 
 def n_loc_series(F: biquad.BiquadField, B: int, levels: int | None = None

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -178,6 +179,43 @@ def test_prime_power_multiples_cover_each_multiple_once(monkeypatch):
                          default: {int, np.ndarray}}[group], group
     yields = sum(1 for _ in arith.prime_power_multiples(1 << 13, arith.sieve_primes(1 << 13)))
     assert yields <= 80, yields  # 158 one cofactor at a time
+
+
+def test_prime_power_multiples_walk_only_the_listed_cofactors(monkeypatch):
+    # above sqrt B each listed c * p comes once and no other multiple; the
+    # list is read only after the last slice, which the default walk yields
+    # alike; at group 5 a group can end inside a run of a partial list
+    default = arith._GROUP
+    for group in (1, 5, default):
+        monkeypatch.setattr(arith, "_GROUP", group)
+        inside = False
+        for B in (1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122, 1000):
+            every, r = arith.sieve_primes(B), math.isqrt(B)
+            every_c = list(range(1, r + 1))
+            for primes in (every, every[::3]):
+                slices = [(at, i, k) for at, i, k in arith.prime_power_multiples(B, primes)
+                          if isinstance(at, slice)]
+                above = [p for p in primes.tolist() if p > r]
+                for cs in ([], every_c, every_c[::2], every_c[1::3], every_c[-2:]):
+                    def listed(cs=cs):
+                        assert len(got_slices) == len(slices), (B, cs)
+                        return np.array(cs, dtype=np.int64)
+                    got_slices, got = [], []
+                    for at, i, k in arith.prime_power_multiples(B, primes, listed):
+                        if isinstance(at, slice):
+                            got_slices.append((at, i, k))
+                            continue
+                        ns = np.arange(B + 1)[at]
+                        ps = np.broadcast_to(primes[i], ns.shape)
+                        assert k == 1 and len(ns), (B, cs)
+                        got += zip(ps.tolist(), ns.tolist())
+                        if isinstance(i, np.ndarray):  # the run of the last c goes on
+                            c = int(ns[-1]) // int(ps[-1])
+                            inside |= int(i[-1]) + 1 < np.searchsorted(primes, B // c, side="right")
+                    assert got_slices == slices, (B, cs)
+                    assert sorted(got) == sorted((p, c * p) for c in cs for p in above
+                                                 if c * p <= B), (B, len(primes), cs, group)
+        assert inside == (group == 5), group
 
 
 def test_expand_runs_against_a_plain_loop():

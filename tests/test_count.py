@@ -77,7 +77,8 @@ def test_local_tables_match_per_prime_oracle():
 
 def test_tables_do_not_depend_on_the_walk_group_size(monkeypatch):
     # group 1 is one cofactor per yield; at 7 the groups end inside runs
-    cases = [(F, B) for F in NINE_FIELDS[:3] + [WIDE] for B in (1000, 8192)]
+    # (3, 5) and (2, 7) walk split primes with bits above sqrt B
+    cases = [(F, B) for F in NINE_FIELDS[:4] + [WIDE] for B in (1000, 8192)]
 
     def outputs(F, B):
         t = count.local_tables(F, B)
@@ -89,6 +90,35 @@ def test_tables_do_not_depend_on_the_walk_group_size(monkeypatch):
     for group in (1, 7):
         monkeypatch.setattr(arith, "_GROUP", group)
         assert [outputs(F, B) for F, B in cases] == want, group
+
+
+def test_local_tables_at_the_residue_group_edges():
+    # 8 * 65521 passes 2^16, so 65521 fills a table of its own and 65537 is
+    # read through (p|65537); the places of 2 * 3 * ... * 23 fill three tables
+    three = BiquadField(3 * 5 * 7 * 11, 13 * 17 * 19 * 23)
+    fields = [BiquadField(65521, 3), BiquadField(65537, -3), three, WIDE]
+    for F in fields:
+        moduli, M = [], 1  # groups closed as late as the bound lets them
+        for p in sorted(F.ramified_support):
+            m = 8 if p == 2 else p
+            if m > biquad._RESIDUE_GROUP:
+                moduli.append(m)
+            elif M * m > biquad._RESIDUE_GROUP:
+                moduli, M = moduli + [M], m
+            else:
+                M *= m
+        groups = F.profile_tables[-1]
+        assert sorted(m for m, _, _ in groups) == sorted(moduli + [M]), F
+        for m, bits, ab in groups:
+            assert len(bits) == len(ab) == (m if m <= biquad._RESIDUE_GROUP else 2), F
+        for B in (100, 2048, 8192):
+            got, want = count.local_tables(F, B), local_tables_by_prime(F, B)
+            assert np.array_equal(got.ok, want.ok), (F, B)
+            assert np.array_equal(got.profile[got.ok], want.profile[want.ok]), (F, B)
+            assert got.p_minus == want.p_minus, (F, B)
+            grid, n_loc = count.n_loc_series(F, B)
+            assert n_loc == n_loc_by_class_search(grid, got), (F, B)
+    assert [len(F.profile_tables[-1]) for F in fields] == [2, 2, 3, 11]
 
 
 def test_legendre_matches_kronecker_on_both_paths():
