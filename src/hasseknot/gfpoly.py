@@ -12,15 +12,13 @@ irreducible factors.  That stage draws from a generator seeded
 deterministically from (p, f), so repeated runs factor identically.
 
 `degree_patterns` gives the factor degrees of a squarefree reduction at many
-primes at once, in numpy int64, from the Frobenius (Berlekamp) matrix Q; the
-prime census and the ideal-norm counts run on it.  tr(Q^k) mod p counts the
-roots of f in F_(p^k), which is sum of d c_d over the degrees d dividing k
-for c_d factors of degree d, and Moebius inversion recovers the c_d.  The
-count is at most deg f, so it is exact for p > deg f; the few primes
-p <= deg f, where it is known only mod p, go through `degree_pattern`.  Its
-polynomial and matrix products are int64 matrix products that reduce mod p
-only where the next sum could overflow, which at census primes is once per
-sum (delayed modular reduction).
+primes at once, in numpy int64, from the traces of the powers of the
+Frobenius (Berlekamp) matrix; the prime census and the ideal-norm counts run
+on it.  The primes lie on the last, contiguous axis of every array.  Each
+polynomial or matrix product is one np.einsum contraction over the
+coefficient axis, reduced mod p only where the next sum could overflow
+(delayed modular reduction), and x^p comes by square-and-multiply, where
+the multiply by x is a shift of the square before it is folded mod f.
 """
 
 from __future__ import annotations
@@ -144,9 +142,17 @@ def squarefree_decomposition(f: list[int], p: int) -> list[tuple[list[int], int]
 
 
 def distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """[(product of irreducible factors of degree d, d)] for monic squarefree f."""
+    """[(product of irreducible factors of degree d, d)] for monic squarefree f.
+    h = x^(p^d) mod f steps to h^p through the Frobenius matrix, columns
+    x^(p i) mod f, with no powering; gcd(rest, h - x) needs h only mod f, as
+    rest divides f."""
     out: list[tuple[list[int], int]] = []
-    h = pow_mod([0, 1], p, f, p)  # x^(p^d) mod rest, for d = 1
+    n = degree(f)
+    h = pow_mod([0, 1], p, f, p)  # x^(p^d) mod f, for d = 1
+    frobenius = [[1]]
+    while len(frobenius) < n:
+        frobenius.append(mod(mul(frobenius[-1], h, p), f, p))
+    rows = list(zip(*(col + [0] * (n - len(col)) for col in frobenius)))
     d = 1
     rest = f
     while degree(rest) >= 2 * d:
@@ -159,7 +165,7 @@ def distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
         d += 1
         if degree(rest) < 2 * d:
             break
-        h = pow_mod(h, p, rest, p)
+        h = trim([sum(c * r for c, r in zip(h, row)) % p for row in rows])
     if degree(rest) > 0:
         out.append((rest, degree(rest)))
     return out
@@ -261,55 +267,44 @@ def _room(top: int) -> int:
     return (2 ** 63 - 1 - top) // (top - 1) ** 2
 
 
-def _dot(a: np.ndarray, b: np.ndarray, p: np.ndarray, room: int,
-         out: np.ndarray | None = None) -> np.ndarray:
-    """(out + a @ b) mod p for stacks of residue matrices, out a residue
-    array that is updated in place, or zero if omitted (then a must have a
-    column).  The inner products are summed `room` terms at a time onto the
-    residue, so in int64 with room = _room(max p) no sum overflows."""
-    for j in range(0, a.shape[-1], room):
-        term = a[..., j:j + room] @ b[..., j:j + room, :]
-        if out is None:
-            out = term
-        else:
-            out += term
+def _contract(spec: str, a: np.ndarray, b: np.ndarray, p: np.ndarray, room: int,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """(out + np.einsum(spec, a, b)) mod p, spec summing over the first axis
+    of a and b, whose residues have the primes p on their last axis; out is
+    a residue array updated in place, or zero if omitted.  The terms, each at
+    most (top - 1)^2, are summed `room` at a time onto the residue, so with
+    room = _room(top), top the largest prime, no int64 sum reaches 2^63."""
+    for j in range(0, len(a), room):
+        term = np.einsum(spec, a[j:j + room], b[j:j + room])
+        out = term if out is None else np.add(out, term, out=out)
         out %= p
     return out
 
 
-def _mul_rows(a: np.ndarray, b: np.ndarray, xn: np.ndarray, p: np.ndarray,
-              room: int) -> np.ndarray:
-    """Row-wise a*b mod (f, p) for residues a, b of shape (P, n); xn[:, j]
-    holds x^(n+j) mod (f, p) for j < n - 1 and p has shape (P, 1, 1).
+def _mul_mod(a: np.ndarray, b: np.ndarray, xn: np.ndarray, p: np.ndarray, room: int,
+             shift: np.ndarray | None = None) -> np.ndarray:
+    """a*b mod (f, p) for residues a, b of shape (n, P), times x at the primes
+    where the bool array `shift` is set; xn[j] holds x^(n+j) mod (f, p).
 
-    With b padded by n - 1 zeros on each side, coefficient k of a*b is the
-    sum of a[n - 1 - j] * padded[j + k]: reversed a times a Hankel matrix,
-    which is a strided view of the padded rows.  The terms of degree >= n
-    fold back through xn."""
-    n = a.shape[1]
-    padded = np.zeros((a.shape[0], 3 * n - 2), dtype=np.int64)
-    padded[:, n - 1:2 * n - 1] = b
+    With b padded by n - 1 zero rows on each side, coefficient k of a*b is
+    the sum of a[n - 1 - j] * padded[j + k] over j < n: reversed a against a
+    Hankel view of the padded rows, strided and not copied.  The 2n - 1
+    coefficients move up one row at the shifted primes, and those of degree
+    >= n fold back through xn.  Both contractions sum at most n terms, the
+    product's from zero and the fold's onto a residue, by `_contract`."""
+    n, P = a.shape
+    padded = np.zeros((3 * n - 2, P), dtype=np.int64)
+    padded[n - 1:2 * n - 1] = b
     row, col = padded.strides
     # np.ndarray over the buffer, not as_strided: the Python objects that
     # as_strided makes on every call raised the census's peak RSS by 1.5 MB
-    hankel = np.ndarray((a.shape[0], n, 2 * n - 1), np.int64, padded, 0, (row, col, col))
-    prod = _dot(a[:, None, ::-1], hankel, p, room)
-    return _dot(prod[:, :, n:], xn, p, room, out=prod[:, :, :n])[:, 0]
-
-
-def _times_x(a: np.ndarray, x_n: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Row-wise x*a mod (f, p), where x_n holds x^n mod (f, p); one product
-    plus one residue always has room."""
-    shifted = np.zeros_like(a)
-    shifted[:, 1:] = a[:, :-1]
-    return (shifted + a[:, -1:] * x_n) % p
-
-
-def _trace_of_product(A: np.ndarray, B: np.ndarray, p: np.ndarray, room: int) -> np.ndarray:
-    """tr(A @ B) mod p for stacks of n x n matrices, p of shape (P, 1, 1)."""
-    P, n = A.shape[:2]
-    return _dot(A.reshape(P, 1, n * n), B.transpose(0, 2, 1).reshape(P, n * n, 1),
-                p, room)[:, 0, 0]
+    hankel = np.ndarray((n, 2 * n - 1, P), np.int64, padded, 0, (row, row, col))
+    prod = _contract("jP,jkP->kP", a[::-1], hankel, p, room)
+    if shift is not None:
+        wide = np.zeros((2 * n + 1, P), dtype=np.int64)
+        wide[1:-1] = prod
+        prod = np.where(shift, wide[:-1], wide[1:])
+    return _contract("jP,jiP->iP", prod[n:], xn[:len(prod) - n], p, room, out=prod[:n])
 
 
 def _mobius(n: int) -> list[int]:
@@ -328,25 +323,29 @@ def degree_patterns(coeffs, primes: np.ndarray) -> np.ndarray:
     2^31, where _room is at least 2, and f must be squarefree mod it (p not
     dividing the discriminant of f).
 
-    The residue products are summed unreduced while int64 has room (delayed
-    reduction): with top the largest of the primes, room = _room(top) =
-    floor((2^63 - 1 - top) / (top - 1)^2) products, each at most (top - 1)^2,
-    added onto a residue stay below 2^63, so `_dot` reduces mod p once per
-    `room` terms of every sum.  No int64 sum wraps, and a sum reduced once
-    has the same residue as one reduced term by term, so the result is exact.
-    room is 2 just below 2^31 and about 9 * 10^6 at p <= 10^6, where every
-    sum of fewer terms than that goes through `%` once.
+    The primes lie on the last axis: a residue mod f is an (n, P) array, and
+    x^n..x^(2n-1) mod f and Q are (n, n, P) tables.  Every product is one
+    `_contract`, summed unreduced while int64 has room (delayed reduction):
+    room = _room(top) = floor((2^63 - 1 - top) / (top - 1)^2) products of
+    residues below top, the largest prime, added onto a residue stay below
+    2^63, so a sum is reduced mod p once per `room` terms, 2 just below 2^31
+    and about 9 * 10^6 at p <= 10^6.  An entry of a polynomial product, of
+    its fold or of a product of powers of Q sums n terms, a trace n^2.
 
-    x^p mod (f, p) comes from square-and-multiply over all primes at once.
-    The Frobenius matrix Q has the columns (x^p)^i mod f, and F_p[x]/f is the
-    product of the fields F_(p^d) over the factor degrees d.  Q^k is the
-    p^k-power map, so its trace counts the roots of f in F_(p^k): mod p,
-    tr(Q^k) = N_k = sum of d c_d over the d dividing k, with c_d the count of
-    degree-d factors, and Moebius inversion gives d c_d = sum of
-    mu(d/e) N_e over the e dividing d.  N_k is at most n = deg f, so the
-    trace mod p is N_k itself when p > n; tr(Q^k) for k = 1..n is read off
-    the powers Q^1..Q^ceil(n/2) as tr(Q^i Q^j).  At the primes p <= n, where
-    N_k is known only mod p (tr(Q) = 0 for x^p - x at p), the counts come one
+    x^p mod (f, p) comes from square-and-multiply over all primes at once:
+    each bit squares at every prime, the square not yet reduced mod f moves
+    up one coefficient at the primes whose bit is set, and then folds mod f.
+    Row i of Q holds (x^p)^i mod f, so Q is the transposed Frobenius matrix,
+    and F_p[x]/f is the product of the fields F_(p^d) over the factor degrees
+    d.  Q^k is the p^k-power map, so its trace counts the roots of f in
+    F_(p^k): mod p, tr(Q^k) = N_k = sum of d c_d over the d dividing k, with
+    c_d the count of degree-d factors, and Moebius inversion gives
+    d c_d = sum of mu(d/e) N_e over the e dividing d.  N_k is at most
+    n = deg f, so the trace mod p is N_k itself when p > n.  Only the c_d for
+    d <= n/2 need traces: at most one factor has a degree above n/2, the
+    n - sum of d c_d left over.  So tr(Q^k) for k <= n/2 is read off the
+    powers Q^1..Q^ceil(n/4) as tr(Q^i Q^j).  At the primes p <= n, where N_k
+    is known only mod p (tr(Q) = 0 for x^p - x at p), the counts come one
     prime at a time from `degree_pattern`."""
     f = [int(c) for c in coeffs]
     n = len(f) - 1
@@ -362,30 +361,30 @@ def degree_patterns(coeffs, primes: np.ndarray) -> np.ndarray:
             counts[i, d - 1] += 1
     large = primes[~small]
     room = _room(int(large.max(initial=2)))
-    p, p3 = large[:, None], large[:, None, None]
-    x_n = np.stack([arith.residues(-c, large) for c in f[:-1]], axis=1)
-    powers = [x_n]  # x^n, ..., x^(2n-2) mod (f, p)
-    for _ in range(n - 2):
-        powers.append(_times_x(powers[-1], x_n, p))
-    xn = np.stack(powers, axis=1)[:, :n - 1]
-    xp = np.zeros((len(large), n), dtype=np.int64)  # x^p by binary powering
-    xp[:, 0] = 1
+    xn = np.zeros((n, n, len(large)), dtype=np.int64)  # x^n, ..., x^(2n-1) mod (f, p)
+    xn[0] = [arith.residues(-c, large) for c in f[:-1]]
+    for j in range(1, n):  # one product onto one residue always has room
+        xn[j, 1:] = xn[j - 1, :-1]
+        xn[j] = (xn[j] + xn[j - 1, -1] * xn[0]) % large
+    xp = np.zeros((n, len(large)), dtype=np.int64)  # x^p by square-and-multiply
+    xp[0] = 1
     for bit in range(int(large.max(initial=0)).bit_length() - 1, -1, -1):
-        xp = _mul_rows(xp, xp, xn, p3, room)
-        xp = np.where((large >> bit & 1)[:, None] == 1, _times_x(xp, x_n, p), xp)
-    Q = np.zeros((len(large), n, n), dtype=np.int64)
-    Q[:, 0, 0] = 1
+        xp = _mul_mod(xp, xp, xn, large, room, shift=(large >> bit & 1) == 1)
+    Q = np.zeros((n, n, len(large)), dtype=np.int64)  # row i: x^(p i) mod (f, p)
+    Q[0, 0] = 1
     for i in range(1, n):
-        Q[:, :, i] = _mul_rows(Q[:, :, i - 1], xp, xn, p3, room)
-    half = (n + 1) // 2
-    Qk = [Q]  # Q^1, ..., Q^half
-    for _ in range(half - 1):
-        Qk.append(_dot(Qk[-1], Q, p3, room))
-    N = [None] + [np.trace(Qk[k - 1], axis1=1, axis2=2) % large if k <= half
-                  else _trace_of_product(Qk[-1], Qk[k - half - 1], p3, room)
-                  for k in range(1, n + 1)]
-    mu = _mobius(n)
-    for d in range(1, n + 1):
-        counts[~small, d - 1] = sum(mu[d // e] * N[e] for e in range(1, d + 1)
-                                    if d % e == 0) // d
+        Q[i] = _mul_mod(Q[i - 1], xp, xn, large, room)
+    half, quarter, mu = n // 2, (n // 2 + 1) // 2, _mobius(n // 2)
+    Qk = [Q]  # Q^1, ..., Q^quarter
+    for _ in range(quarter - 1):
+        Qk.append(_contract("jiP,jkP->ikP", Qk[-1].transpose(1, 0, 2), Q, large, room))
+    N = [None] + [np.trace(Qk[k - 1]) % large if k <= quarter  # tr(A B): A[i, j] B[j, i]
+                  else _contract("jP,jP->P", Qk[-1].reshape(n * n, -1), Qk[k - quarter - 1]
+                                 .transpose(1, 0, 2).reshape(n * n, -1), large, room)
+                  for k in range(1, half + 1)]
+    at = np.flatnonzero(~small)
+    for d in range(1, half + 1):
+        counts[at, d - 1] = sum(mu[d // e] * N[e] for e in range(1, d + 1) if d % e == 0) // d
+    rest = n - counts[at] @ np.arange(1, n + 1)  # the one factor above n/2, or 0
+    counts[at[rest > 0], rest[rest > 0] - 1] = 1
     return counts

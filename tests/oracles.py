@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import sympy
 
 from hasseknot.errors import DomainError
 
@@ -305,6 +306,17 @@ def cubic_delta_prediction() -> Fraction:
     """Density of primes with a degree-1 factor for a cubic with group S3:
     the identity and the three transpositions fix a root, 4 of 6 classes."""
     return Fraction(4, 6)
+
+
+def chebotarev_delta(coeffs) -> Fraction:
+    """Exact delta_K for the field of a monic irreducible integer polynomial,
+    constant term first.  By Chebotarev the residue degrees above an
+    unramified prime are the cycle lengths of its Frobenius on the roots, and
+    every element of the Galois group G is a Frobenius with density 1/|G|;
+    so delta_K is the share of G whose cycle lengths have gcd 1.  G comes
+    from sympy's galois_group, which takes degrees up to 6."""
+    G, _ = sympy.galois_group(sympy.Poly(coeffs[::-1], sympy.symbols("x")), by_name=False)
+    return Fraction(sum(math.gcd(*g.cycle_structure) == 1 for g in G.elements), G.order())
 
 
 # --- the shell search by coordinate faces ------------------------------------

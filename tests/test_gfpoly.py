@@ -166,8 +166,9 @@ def _primes_below(top, count):
 
 def test_degree_patterns_in_every_room_regime():
     # the kernel sums up to _room(largest prime) products before it reduces:
-    # 2, 3 and 4 in blocks just below these tops, millions at 2^20
-    rng = random.Random(2020)
+    # 2, 3 and 4 in blocks just below these tops, millions at 2^20; at degree
+    # 12 the trace of a product sums 144 terms, the widest of its contractions
+    rng, wide = random.Random(2020), random.Random(2031)
     for top, room in ((2 ** 31 - 1, 2), (1_650_000_000, 3), (1_450_000_000, 4),
                       (2 ** 20, None)):
         primes = _primes_below(top, 30)
@@ -175,8 +176,10 @@ def test_degree_patterns_in_every_room_regime():
             assert gfpoly._room(primes[-1]) == room
         else:
             assert gfpoly._room(primes[-1]) > 10 ** 6
-        for n in range(4, 10):
-            coeffs = [rng.randint(-50, 50) for _ in range(n)] + [1]
+        polys = ([[rng.randint(-50, 50) for _ in range(n)] + [1] for n in range(4, 10)]
+                 + [[wide.randint(-50, 50) for _ in range(n)] + [1] for n in (2, 3, 12)])
+        for coeffs in polys + [[2] + [0] * 11 + [1]]:
+            n = len(coeffs) - 1
             disc = poly_discriminant(coeffs)
             block = [p for p in primes if disc % p]
             assert len(block) > 25

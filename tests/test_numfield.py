@@ -10,7 +10,7 @@ from hasseknot import arith, biquad, numfield
 from hasseknot.errors import DomainError, UnsupportedPrimeError
 from hasseknot.numfield import NumberField
 
-from oracles import sums_of_two_squares_kernel
+from oracles import chebotarev_delta, sums_of_two_squares_kernel
 
 GAUSS = NumberField((1, 0, 1))                    # x^2 + 1
 CUBIC_S3 = NumberField((-1, -1, 0, 1))            # x^3 - x - 1, disc -23
@@ -189,6 +189,27 @@ def test_census_pin_at_degree_12():
     # x^12 + 2, the highest degree pinned: the kernel's products have n^2 terms
     x12_2 = NumberField((2,) + (0,) * 11 + (1,))
     assert numfield.delta_K_estimate(x12_2, 10 ** 4)[:2] == (303, 1227)
+
+
+def test_chebotarev_delta_known_values():
+    known = {(16, 0, -60, 0, 1): Fraction(1, 4),    # V4: only the identity
+             (5, 0, 0, 0, 0, 1): Fraction(4, 5),    # F20
+             (-2, 0, 0, 1): Fraction(2, 3),         # S3
+             (1, 0, 0, 0, 1): Fraction(1, 4),       # V4
+             (1, 0, 1): Fraction(1, 2),             # C2
+             (1, 1, 0, 0, 0, 0, 1): Fraction(91, 144)}  # S6
+    for poly, want in known.items():
+        assert chebotarev_delta(poly) == want, poly
+
+
+def test_delta_estimates_near_the_chebotarev_density():
+    # every pinned census field of degree <= 6, and x^6 + x + 1; the largest
+    # distance at 10^5 is 0.0040 (x^4 - 60x^2 + 16, about 0.9 binomial sigma)
+    for poly in ((16, 0, -60, 0, 1), (1, 0, 1), (-1, -1, 0, 1), (-2, 0, 0, 1),
+                 (1, 0, 0, 0, 1), (5, 0, 0, 0, 0, 1), (7, -3, 0, 0, 0, 1),
+                 (1, 1, 0, 0, 0, 0, 1)):
+        est = numfield.delta_K_estimate(NumberField(poly), 10 ** 5)[2]
+        assert abs(est - chebotarev_delta(poly)) <= Fraction(1, 100), poly
 
 
 def test_census_with_no_prime_left():
