@@ -238,18 +238,23 @@ def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
     n = np.flatnonzero(ok[1:]) + 1  # the passing n, ascending
     key = tables.profile[n]
     key = np.minimum(key, key ^ tables.p_minus)
-    order = np.argsort(key, kind="stable")  # by key, then by n
+    # int32 indices, as len(n) < B < 2^31
+    order = np.argsort(key, kind="stable").astype(np.int32)  # by key, then by n
     key = key[order]
-    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])  # where each key starts
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]]).astype(np.int32)  # key starts
     rank = np.empty_like(order)
-    rank[order] = np.arange(len(n)) - np.repeat(first, np.diff(np.r_[first, len(n)]))
-    S = np.r_[0, np.cumsum(2 * rank + 1)]  # S at the first j passing n
+    rank[order] = (np.arange(len(n), dtype=np.int32)
+                   - np.repeat(first, np.diff(np.r_[first, len(n)])))
+    # S at the first j passing n is 2 * R[j] + j, R[j] the sum of their ranks
+    R = np.zeros(len(n) + 1, dtype=np.int64)
+    np.cumsum(rank, dtype=np.int64, out=R[1:])
     # Q at 0 and at the floor values of B, in slots: 0..r, then B // x for
     # x = r..1, where B // r = r comes once
     r = math.isqrt(B)
     floors = np.r_[np.arange(r + (B // r > r)), B // np.arange(r, 0, -1)]
-    Q = (2 if tables.p_minus == 0 else 1) * S[np.searchsorted(n, floors, side="right")]
-    del n, key, order, rank, S  # freed before the Moebius weight
+    j = np.searchsorted(n, floors, side="right")
+    Q = (2 if tables.p_minus == 0 else 1) * (2 * R[j] + j)
+    del n, key, order, rank, R  # freed before the Moebius weight
     w = ok.astype(np.int8)  # 0 where a bad prime has odd order
     good = ok[tables.primes]
     for p in tables.primes[~good & (tables.primes <= r)].tolist():

@@ -17,8 +17,8 @@ Frobenius (Berlekamp) matrix; the prime census and the ideal-norm counts run
 on it.  The primes lie on the last, contiguous axis of every array.  Each
 polynomial or matrix product is one np.einsum contraction over the
 coefficient axis, reduced mod p only where the next sum could overflow
-(delayed modular reduction), and x^p comes by square-and-multiply, where
-the multiply by x is a shift of the square before it is folded mod f.
+(delayed modular reduction), and x^p comes by square-and-multiply from x
+or 1 at the top bit, the multiply by x shifting a factor of the square.
 """
 
 from __future__ import annotations
@@ -267,6 +267,14 @@ def _room(top: int) -> int:
     return (2 ** 63 - 1 - top) // (top - 1) ** 2
 
 
+def _one_reduction(n: int, top: int) -> bool:
+    """Whether a product mod (f, p), deg f = n and p <= top, may be folded
+    mod f unreduced and reduced once: each coefficient of a*b sums n terms,
+    at most M = n (top - 1)^2, and the fold adds n of them times residues of
+    xn onto one, at most M (1 + n (top - 1)) < 2^63.  Then _room(top) >= n."""
+    return n * (top - 1) ** 2 * (1 + n * (top - 1)) < 2 ** 63
+
+
 def _contract(spec: str, a: np.ndarray, b: np.ndarray, p: np.ndarray, room: int,
               out: np.ndarray | None = None) -> np.ndarray:
     """(out + np.einsum(spec, a, b)) mod p, spec summing over the first axis
@@ -281,30 +289,28 @@ def _contract(spec: str, a: np.ndarray, b: np.ndarray, p: np.ndarray, room: int,
     return out
 
 
-def _mul_mod(a: np.ndarray, b: np.ndarray, xn: np.ndarray, p: np.ndarray, room: int,
-             shift: np.ndarray | None = None) -> np.ndarray:
+def _mul_mod(a: np.ndarray, b: np.ndarray, buf: np.ndarray, xn: np.ndarray, p: np.ndarray,
+             room: int, once: bool, shift: np.ndarray | None = None) -> np.ndarray:
     """a*b mod (f, p) for residues a, b of shape (n, P), times x at the primes
     where the bool array `shift` is set; xn[j] holds x^(n+j) mod (f, p).
 
-    With b padded by n - 1 zero rows on each side, coefficient k of a*b is
-    the sum of a[n - 1 - j] * padded[j + k] over j < n: reversed a against a
-    Hankel view of the padded rows, strided and not copied.  The 2n - 1
-    coefficients move up one row at the shifted primes, and those of degree
-    >= n fold back through xn.  Both contractions sum at most n terms, the
-    product's from zero and the fold's onto a residue, by `_contract`."""
+    b goes to rows n..2n-1 of buf, a (3n, P) buffer zero elsewhere, and one
+    np.where over rows n..2n moves it up a row at the shifted primes; then
+    coefficient k is the sum of a[n - 1 - j] * buf[1 + j + k] over j < n, a
+    Hankel view of 2n columns, not copied.  Those of degree >= n fold back
+    through xn: unreduced, then reduced mod p once, if `once` (_one_reduction);
+    else reduced before the fold, each sum by `_contract`."""
     n, P = a.shape
-    padded = np.zeros((3 * n - 2, P), dtype=np.int64)
-    padded[n - 1:2 * n - 1] = b
-    row, col = padded.strides
+    buf[n:2 * n], buf[2 * n] = b, 0
+    if shift is not None:
+        buf[n:2 * n + 1] = np.where(shift, buf[n - 1:2 * n], buf[n:2 * n + 1])
+    row, col = buf.strides
     # np.ndarray over the buffer, not as_strided: the Python objects that
     # as_strided makes on every call raised the census's peak RSS by 1.5 MB
-    hankel = np.ndarray((n, 2 * n - 1, P), np.int64, padded, 0, (row, row, col))
-    prod = _contract("jP,jkP->kP", a[::-1], hankel, p, room)
-    if shift is not None:
-        wide = np.zeros((2 * n + 1, P), dtype=np.int64)
-        wide[1:-1] = prod
-        prod = np.where(shift, wide[:-1], wide[1:])
-    return _contract("jP,jiP->iP", prod[n:], xn[:len(prod) - n], p, room, out=prod[:n])
+    hankel = np.ndarray((n, 2 * n, P), np.int64, buf, row, (row, row, col))
+    spec = "jP,jkP->kP"
+    prod = np.einsum(spec, a[::-1], hankel) if once else _contract(spec, a[::-1], hankel, p, room)
+    return _contract("jP,jiP->iP", prod[n:], xn, p, room, out=prod[:n])
 
 
 def _mobius(n: int) -> list[int]:
@@ -325,16 +331,19 @@ def degree_patterns(coeffs, primes: np.ndarray) -> np.ndarray:
 
     The primes lie on the last axis: a residue mod f is an (n, P) array, and
     x^n..x^(2n-1) mod f and Q are (n, n, P) tables.  Every product is one
-    `_contract`, summed unreduced while int64 has room (delayed reduction):
+    contraction, summed unreduced while int64 has room (delayed reduction):
     room = _room(top) = floor((2^63 - 1 - top) / (top - 1)^2) products of
     residues below top, the largest prime, added onto a residue stay below
     2^63, so a sum is reduced mod p once per `room` terms, 2 just below 2^31
     and about 9 * 10^6 at p <= 10^6.  An entry of a polynomial product, of
-    its fold or of a product of powers of Q sums n terms, a trace n^2.
+    its fold or of a product of powers of Q sums n terms, a trace n^2.  A
+    product mod f skips the reduction before its fold where _one_reduction
+    holds, top below about 8.3 * 10^5 at n = 4 and 4 * 10^5 at n = 12.
 
-    x^p mod (f, p) comes from square-and-multiply over all primes at once:
-    each bit squares at every prime, the square not yet reduced mod f moves
-    up one coefficient at the primes whose bit is set, and then folds mod f.
+    x^p mod (f, p) comes from square-and-multiply over all primes at once,
+    from x at the primes with the top bit and 1 at the others: each further
+    bit squares at every prime, one factor moved up a coefficient first at
+    the primes whose bit is set.
     Row i of Q holds (x^p)^i mod f, so Q is the transposed Frobenius matrix,
     and F_p[x]/f is the product of the fields F_(p^d) over the factor degrees
     d.  Q^k is the p^k-power map, so its trace counts the roots of f in
@@ -360,20 +369,24 @@ def degree_patterns(coeffs, primes: np.ndarray) -> np.ndarray:
         for _, d in degree_pattern(f, int(primes[i])):
             counts[i, d - 1] += 1
     large = primes[~small]
-    room = _room(int(large.max(initial=2)))
+    top = int(large.max(initial=2))
+    room, once = _room(top), _one_reduction(n, top)
     xn = np.zeros((n, n, len(large)), dtype=np.int64)  # x^n, ..., x^(2n-1) mod (f, p)
     xn[0] = [arith.residues(-c, large) for c in f[:-1]]
     for j in range(1, n):  # one product onto one residue always has room
         xn[j, 1:] = xn[j - 1, :-1]
         xn[j] = (xn[j] + xn[j - 1, -1] * xn[0]) % large
-    xp = np.zeros((n, len(large)), dtype=np.int64)  # x^p by square-and-multiply
-    xp[0] = 1
-    for bit in range(int(large.max(initial=0)).bit_length() - 1, -1, -1):
-        xp = _mul_mod(xp, xp, xn, large, room, shift=(large >> bit & 1) == 1)
+    buf, high = np.zeros((3 * n, len(large)), dtype=np.int64), top.bit_length() - 1
+    xp = np.zeros((n + 1, len(large)), dtype=np.int64)  # x^p, from x or 1 at the top bit
+    xp[1] = large >> high & 1
+    xp[0] = 1 - xp[1]
+    xp = xp[:n] + xp[n] * xn[0]  # x folded mod f, where n = 1
+    for bit in range(high - 1, -1, -1):
+        xp = _mul_mod(xp, xp, buf, xn, large, room, once, shift=(large >> bit & 1) == 1)
     Q = np.zeros((n, n, len(large)), dtype=np.int64)  # row i: x^(p i) mod (f, p)
-    Q[0, 0] = 1
-    for i in range(1, n):
-        Q[i] = _mul_mod(Q[i - 1], xp, xn, large, room)
+    Q[0, 0], Q[1:2] = 1, xp
+    for i in range(2, n):
+        Q[i] = _mul_mod(Q[i - 1], xp, buf, xn, large, room, once)
     half, quarter, mu = n // 2, (n // 2 + 1) // 2, _mobius(n // 2)
     Qk = [Q]  # Q^1, ..., Q^quarter
     for _ in range(quarter - 1):

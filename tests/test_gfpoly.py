@@ -204,6 +204,51 @@ def test_degree_patterns_where_the_trace_is_blind(monkeypatch):
     assert scalar == [3, 3, 2, 2]
 
 
+def test_mul_mod_worst_case_at_the_one_reduction_bound():
+    # every entry p - 1, at the largest prime _one_reduction admits and at
+    # the next prime above it; the shifted column folds n(n + 1)/2 products
+    # of degree >= n, the largest sum the rule has to keep below 2^63
+    for n in (2, 4, 12):
+        lo, hi = 2, 2 ** 31
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if gfpoly._one_reduction(n, mid) else (lo, mid)
+        p = _primes_below(lo, 1)[0]
+        above = lo + 1
+        while not arith.is_prime(above):
+            above += 1
+        assert gfpoly._one_reduction(n, p) and not gfpoly._one_reduction(n, above)
+        for p in (p, above):
+            primes = np.array([p, p], dtype=np.int64)
+            a = np.full((n, 2), p - 1, dtype=np.int64)
+            xn = np.full((n, n, 2), p - 1, dtype=np.int64)
+            buf = np.zeros((3 * n, 2), dtype=np.int64)
+            got = gfpoly._mul_mod(a, a, buf, xn, primes, gfpoly._room(p),
+                                  gfpoly._one_reduction(n, p), shift=np.array([False, True]))
+            for col, up in enumerate((0, 1)):
+                prod = [0] * (2 * n)
+                for i in range(n):
+                    for j in range(n):
+                        prod[i + j + up] += (p - 1) ** 2
+                want = [(prod[i] + sum(prod[n + j] * (p - 1) for j in range(n))) % p
+                        for i in range(n)]
+                assert got[:, col].tolist() == want, (n, p, up)
+
+
+def test_degree_patterns_from_the_top_bit():
+    # x^p starts at x at the primes with the block's top bit and at 1 below
+    fermat, mersenne = [5, 17, 257, 65537], [7, 31, 127, 8191, 131071, 524287, 2147483647]
+    lone_top = arith.sieve_primes(1024)[2:].tolist() + [1031]  # 1031 alone has bit 10
+    blocks = [lone_top, fermat, mersenne, fermat + mersenne] + [[p] for p in fermat + mersenne]
+    for coeffs in [(3, 1), (-7, 1)] + CENSUS_POLYS[:5]:
+        disc = poly_discriminant(coeffs)
+        for block in blocks:
+            block = [p for p in block if disc % p]
+            got = _patterns_as_pairs(coeffs, block)
+            for p, pattern in zip(block, got):
+                assert pattern == gfpoly.degree_pattern(coeffs, p), (coeffs, p)
+
+
 def test_degree_patterns_domain():
     assert gfpoly.degree_patterns((1, 0, 1), np.array([], dtype=np.int64)).shape == (0, 2)
     assert _patterns_as_pairs((3, 1), [2, 5]) == [[(1, 1)], [(1, 1)]]
