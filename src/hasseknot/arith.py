@@ -73,7 +73,8 @@ def prime_power_multiples(B: int, primes: np.ndarray,
     no other multiple above sqrt B comes.  A c < sqrt B has only prime
     factors <= sqrt B, so a caller's table entry at c is final by then, and
     a caller whose update at c * p follows from its entry at c can leave out
-    the c where that entry already decides n."""
+    the c where that entry already decides n.  `prime_power_sieve` is the
+    one reader of these yields that the per-integer tables go through."""
     r = math.isqrt(B)
     lo = int(np.searchsorted(primes, r, side="right"))
     for i, p in enumerate(primes[:lo].tolist()):
@@ -91,6 +92,70 @@ def prime_power_multiples(B: int, primes: np.ndarray,
     for c, j in expand_runs(runs, _GROUP):
         idx = lo + j
         yield cs[c] * primes[idx], idx, 1
+
+
+# The updates of `prime_power_sieve`
+XOR, MULTIPLY, EXPONENT = "xor", "multiply", "exponent"
+
+
+def prime_power_sieve(B: int, primes: np.ndarray, rule: str, values: np.ndarray,
+                      live: np.ndarray | None = None) -> np.ndarray:
+    """A per-integer table over 0..B, made by one update under `rule` at the
+    multiples of each power p^k <= B of the primes p of the ascending int64
+    array `primes`; values[i] is the data of p = primes[i].  The walk is
+    `prime_power_multiples`, whose yields no caller sees: slices for the
+    p <= sqrt B, then k = 1 alone above.
+
+    - XOR: zeros of the dtype of `values`, and table ^= values[i] at each
+      power, so that values[i] lands on the n with v_p(n) odd.
+    - MULTIPLY: int8 ones, and table *= -1 at p^e and table *= 0 at
+      p^(e + 1), e = values[i] >= 1, so that table[n] is the product over p
+      of 1, -1 or 0 as v_p(n) is below, at or above e: the factors (-1, 0)
+      at k = 1, 2 for e = 1 and (1, -1, 0) at k = 1, 2, 3 for e = 2.  Every
+      entry stays in {-1, 0, 1}.
+    - EXPONENT: int8 zeros, nonzero at the end exactly at the n with v_p(n)
+      not a multiple of the period values[i] >= 2 for some p.  Up to sqrt B
+      the table counts those p: +1 at the multiples of p^k for k = 1 mod
+      the period, -1 for k = 0, so that each p adds 0 or 1 at every step.
+      A count is thus at most the number of distinct primes dividing n, at
+      most 9 for n < 2^31 as 2 * 3 * ... * 29 = 6469693230 > 2^31, and the
+      int8 table never wraps.  Above sqrt B only k = 1 occurs, which fails
+      c * p outright: the entry is set to 1.
+
+    Above sqrt B the walk takes the n = c * p with live[c], every c if
+    `live` is None, and under MULTIPLY and EXPONENT only the c whose own
+    entry does not already decide c * p, as a zero product or a nonzero
+    count does.  The entries at c * p with live[c] False do not get the
+    update of p."""
+    r = math.isqrt(B)
+    lo = int(np.searchsorted(primes, r, side="right"))
+    if rule == MULTIPLY:  # a prime above sqrt B with e > 1 changes nothing there
+        keep = values == 1
+        keep[:lo] = True
+        primes = primes[keep]
+    head = values[:lo].tolist()  # Python data for the slices, not a numpy read each
+    table = (np.ones if rule == MULTIPLY else np.zeros)(
+        B + 1, dtype=values.dtype if rule == XOR else np.int8)
+
+    def cofactors():  # the entries at c < sqrt B are final once the slices are done
+        # the table starts out uniform, so the slices leave c * p as they leave c
+        c = (np.ones(r, dtype=bool) if rule == XOR else
+             table[1:r + 1] != 0 if rule == MULTIPLY else table[1:r + 1] == 0)
+        return np.flatnonzero(c if live is None else c & live[1:r + 1]) + 1
+
+    for at, i, k in prime_power_multiples(B, primes, cofactors):
+        if rule == XOR:
+            table[at] ^= values[i]
+        elif not isinstance(at, slice):  # k = 1 above sqrt B
+            table[at] = -table[at] if rule == MULTIPLY else 1
+        elif rule == EXPONENT:
+            if k % head[i] < 2:  # +1 at k = 1 mod the period, -1 at k = 0
+                table[at] += 2 * (k % head[i]) - 1
+        elif k == head[i]:  # MULTIPLY: -1 at p^e, 0 at p^(e + 1)
+            table[at] *= -1
+        elif k == head[i] + 1:
+            table[at] = 0
+    return table
 
 
 def expand_runs(cnt: np.ndarray, size: int):

@@ -1,24 +1,24 @@
 """Counting harness for N_loc(B), N_glob(B), N_ce(B) over a biquadratic field.
 
 Rationals t = a/b are enumerated by height H(t) = max(|a|, b).  The
-everywhere-local test reads per-integer tables, sieved over the prime powers
-up to B by `arith.prime_power_multiples` with one table update per power: a
-bad prime marks where its exponent is odd, and any other prime XORs its
-Hilbert-symbol bits at the fixed places (infinity, 2, p | ab) into the
-profile of its multiples, an unsigned bitmask no wider than the bits, read
-only where n passes.  Away from 2ab the bits are real characters of p, read
-for all primes at once from per-field tables.  N_loc counts the coprime pairs
-with matching profiles by Moebius inversion over the common divisor.  The
-local multiples of a squarefree d are those of one x, which squares the bad
-primes of d, and their classes are those of the local integers up to B // x,
-shifted by a profile that the pair count ignores.  So N_loc only needs a
-running count of the local pairs whose profiles agree up to that of -1 at the
-O(sqrt B) values B // x, each weighted by the sum of w(x) = mu(d) over the x
-with that value, w one multiplicative int8 weight; one weight sum per value
-serves each grid level, as (B >> k) // x = (B // x) >> k.  The global count
-comes from the exact half rule when the knot group is Z/2 generated by -1,
-from equality when the knot group is trivial, and from a certificate-search
-lower bound otherwise.
+everywhere-local test reads per-integer tables, each made by one call of
+`arith.prime_power_sieve`: a bad prime fails n where its exponent is odd,
+and any other prime XORs its Hilbert-symbol bits at the fixed places
+(infinity, 2, p | ab) into the profile of the n it divides to odd order, an
+unsigned bitmask no wider than the bits, read only where n passes.  Away
+from 2ab the bits are real characters of p, read for all primes at once from
+per-field tables.  N_loc counts the coprime pairs with matching profiles by
+Moebius inversion over the common divisor.  The local multiples of a
+squarefree d are those of one x, which squares the bad primes of d, and
+their classes are those of the local integers up to B // x, shifted by a
+profile that the pair count ignores.  So N_loc only needs a running count of
+the local pairs whose profiles agree up to that of -1 at the O(sqrt B)
+values B // x, each weighted by the sum of w(x) = mu(d) over the x with that
+value, w one multiplicative int8 weight made by the same sieve; one weight
+sum per value serves each grid level, as (B >> k) // x = (B // x) >> k.  The
+global count comes from the exact half rule when the knot group is Z/2
+generated by -1, from equality when the knot group is trivial, and from a
+certificate-search lower bound otherwise.
 """
 
 from __future__ import annotations
@@ -158,12 +158,11 @@ def local_tables(F: biquad.BiquadField, B: int) -> LocalTables:
     2ab the bits and (a|p), (b|p) are characters of p, products over the
     places of 2ab by the product formula, read from `F.profile_tables` at
     p mod M, one lookup per group of places, or at (p|q) for a radicand
-    prime q past the groups' bound.  `arith.prime_power_multiples` walks
-    the bad primes, then those with bits: one table update per power's
-    multiples.  A prime p above sqrt B divides n = c * p once, and c <
-    sqrt B is final once the primes up to sqrt B are walked: n fails with c
-    or with a bad p, and passes with c otherwise.  So both walks above
-    sqrt B take only the c that pass, and a bad p just marks c * p.
+    prime q past the groups' bound.  One `arith.prime_power_sieve` call
+    makes each table: `ok` by the exponent rule with period 2 over the bad
+    primes, then `profile` by the XOR rule over the primes with bits, whose
+    walk above sqrt B takes only the n = c * p with ok[c], as n fails with
+    c.
 
     Raises DomainError for B < 1, for more than 63 profile bits, and for
     B >= arith.RESIDUE_BOUND = 2^31, before allocating: the symbols multiply
@@ -185,22 +184,11 @@ def local_tables(F: biquad.BiquadField, B: int) -> LocalTables:
     del gen, c
     own -= np.arange(len(own))  # where each prime of 2ab goes among the others
     bits, ab = np.insert(bits, own, fixed_bits[:len(own)]), np.insert(ab, own, 0)
-    r = math.isqrt(B)
-    odd_bad = np.zeros(B + 1, dtype=np.int8)  # bad primes dividing n to odd order
-    for at, _, k in arith.prime_power_multiples(
-            B, primes[ab != 0], lambda: np.flatnonzero(odd_bad[1:r + 1] == 0) + 1):
-        if isinstance(at, slice):
-            odd_bad[at] += 1 if k % 2 else -1
-        else:  # p > sqrt B divides c * p once, and c passes
-            odd_bad[at] = 1
-    ok = odd_bad == 0
-    del odd_bad
+    # a bad prime fails n where its exponent is odd: period 2
+    ok = arith.prime_power_sieve(B, primes[ab != 0], arith.EXPONENT,
+                                 np.full(np.count_nonzero(ab), 2, dtype=np.int8)) == 0
     walk = (ab == 0) & (bits != 0)  # the primes with bits that are not bad
-    profile, bits = np.zeros(B + 1, dtype), bits[walk]
-    for at, i, _ in arith.prime_power_multiples(
-            B, primes[walk], lambda: np.flatnonzero(ok[1:r + 1]) + 1):
-        # the multiples of p, p^2, p^3, ... flip the parity of v_p in turn
-        profile[at] ^= bits[i]
+    profile = arith.prime_power_sieve(B, primes[walk], arith.XOR, bits[walk], ok)
     return LocalTables(B, ok, profile, p_minus, F.bit_places, primes)
 
 
@@ -231,9 +219,10 @@ def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
     and S(u) the ordered pairs of passing n, n' <= u of equal key, the sum
     over them of 2 * rank(n) + 1, rank(n) the passing n' < n of the key of
     n; kappa * S(u) <= 2 B^2 < 2^63.  The grid levels are read in one
-    product.  The weight takes the bad primes' slices first, then walks the
-    good primes; above sqrt B, w(c * p) = -w(c) at a good p with c < sqrt B,
-    so only the c with w(c) != 0 are walked."""
+    product.  w is the multiply rule of `arith.prime_power_sieve`, with e =
+    1 at a good p and e = 2 at a bad one, times `ok`.  Its walk above sqrt
+    B takes the c with ok[c] and w(c) != 0 alone, as c * p fails with c and
+    w(c * p) = -w(c) at a good p."""
     B, ok = tables.bound, tables.ok
     n = np.flatnonzero(ok[1:]) + 1  # the passing n, ascending
     key = tables.profile[n]
@@ -255,15 +244,10 @@ def _n_loc_series(grid: list[int], tables: LocalTables) -> list[int]:
     j = np.searchsorted(n, floors, side="right")
     Q = (2 if tables.p_minus == 0 else 1) * (2 * R[j] + j)
     del n, key, order, rank, R  # freed before the Moebius weight
-    w = ok.astype(np.int8)  # 0 where a bad prime has odd order
-    good = ok[tables.primes]
-    for p in tables.primes[~good & (tables.primes <= r)].tolist():
-        w[p * p::p * p] *= -1
-        w[p ** 3::p ** 3] = 0
-    for at, _, k in arith.prime_power_multiples(
-            B, tables.primes[good], lambda: np.flatnonzero(w[1:r + 1]) + 1):
-        if k <= 2:
-            w[at] *= -1 if k == 1 else 0
+    # e = 1 at a good p: w(p), w(p^2) = -1, 0; e = 2 at a bad p: w(p^2), w(p^3) = -1, 0
+    w = arith.prime_power_sieve(B, tables.primes, arith.MULTIPLY,
+                                2 - ok[tables.primes].view(np.uint8), ok)
+    w *= ok  # 0 where a bad prime has odd order
     xs = np.flatnonzero(w[1:]) + 1
     # W by the slot of each floor value B // x
     v, plus = np.searchsorted(floors, B // xs), w[xs] > 0

@@ -391,25 +391,18 @@ def count_ideal_norms(K: NumberField, B: int, levels: int | None = None
                       ) -> list[tuple[int, int]]:
     """Exact counts #{n <= B_i : n in N(I_K)} on the doubling grid B_i = B/2^k.
 
-    A sieve over the prime powers by `arith.prime_power_multiples`: for each
-    prime p <= B with residue gcd g > 1, add 1 at the multiples of p^k for
-    k = 1 mod g and subtract 1 for k = 0 mod g.  The primes above sqrt B
-    come with k = 1, many primes and cofactors to a yield, reading g through
-    a slice or an index array.  Of the k <= v_p(n) the first kind outnumbers
-    the second by one exactly when g does not divide v_p(n), so off[n]
-    counts the primes that keep n from being an ideal norm, and level B_i
-    is B_i less the nonzero off[1..B_i].  The gcds of all primes <= B are
-    taken first, by `_residue_gcds`; UnsupportedPrimeError names the
-    smallest prime <= B whose splitting data is not certified.  DomainError
-    for B >= 2^31, before the sieve.
+    n is an ideal norm exactly when the residue gcd g of each prime p
+    divides v_p(n): one call of `arith.prime_power_sieve` with the exponent
+    rule and period g over the primes p <= B with g > 1 leaves off[n]
+    nonzero exactly where n is not one, and level B_i is B_i less the
+    nonzero off[1..B_i].  The gcds of all primes <= B are taken first, by
+    `_residue_gcds`; UnsupportedPrimeError names the smallest prime <= B
+    whose splitting data is not certified.  DomainError for B >= 2^31,
+    before the sieve.
     """
     grid = doubling_grid(B, levels)
     _check_census_bound("B", B)
     primes = arith.sieve_primes(B)
     g = _residue_gcds(K, primes)
-    primes, g = primes[g > 1], g[g > 1]
-    off = np.zeros(B + 1, dtype=np.int8)
-    for at, i, k in arith.prime_power_multiples(B, primes):
-        step = k % g[i]
-        off[at] += (step == 1).astype(np.int8) - (step == 0)
+    off = arith.prime_power_sieve(B, primes[g > 1], arith.EXPONENT, g[g > 1])
     return [(Bi, Bi - int(np.count_nonzero(off[1:Bi + 1]))) for Bi in grid]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -216,6 +217,53 @@ def test_prime_power_multiples_walk_only_the_listed_cofactors(monkeypatch):
                     assert sorted(got) == sorted((p, c * p) for c in cs for p in above
                                                  if c * p <= B), (B, len(primes), cs, group)
         assert inside == (group == 5), group
+
+
+def test_prime_power_sieve_against_a_plain_loop(monkeypatch):
+    # each rule against its table from v_p(n); B at p^2 - 1, p^2 and p^2 + 1
+    # moves the sqrt B hand-off across p; group 1 is one cofactor per yield
+    # and at 7 the groups end inside runs
+    rng = np.random.default_rng(33)
+    default = arith._GROUP
+    for B in (1, 3, 4, 5, 48, 49, 50, 960, 961, 962, 9408, 9409, 9410):
+        every, n = arith.sieve_primes(B), np.arange(B + 1)
+        for primes in (every, every[rng.random(len(every)) < 0.5]):
+            v = np.zeros((len(primes), B + 1), dtype=np.int8)  # v[i, n] = v_p(n)
+            for i, p in enumerate(primes.tolist()):
+                q = p
+                while q <= B:
+                    v[i] += n % q == 0
+                    q *= p
+            # the prime of `primes` above sqrt B that divides n, if any, and n / it
+            top = np.zeros(B + 1, dtype=np.int64)
+            for i in np.flatnonzero(primes > math.isqrt(B)).tolist():
+                top[v[i] > 0] = primes[i]
+            c = np.where(top > 0, n // np.maximum(top, 1), 0)
+            bits = rng.integers(1, 1 << 16, len(primes)).astype(np.uint16)
+            periods = rng.integers(2, 7, len(primes))
+            e = rng.integers(1, 4, len(primes))
+            xor = np.zeros(B + 1, dtype=np.uint16)
+            for i in range(len(primes)):
+                xor[v[i] % 2 == 1] ^= bits[i]
+            fails = (v % periods[:, None] != 0).any(axis=0)
+            w = np.where((v > e[:, None]).any(axis=0), 0,
+                         np.where((v == e[:, None]).sum(axis=0) % 2, -1, 1)).astype(np.int8)
+            for group, live in itertools.product((1, 7, default),
+                                                 (None, rng.random(B + 1) < 0.6)):
+                monkeypatch.setattr(arith, "_GROUP", group)
+                # without a live list every entry is exact; with one, the n = c * p
+                # above sqrt B only where live[c]
+                seen = np.ones(B + 1, dtype=bool) if live is None else (top == 0) | live[c]
+                seen[0] = False  # no rule touches 0
+                table = arith.prime_power_sieve(B, primes, arith.XOR, bits, live)
+                assert table.dtype == np.uint16
+                assert np.array_equal(table[seen], xor[seen]), (B, group, len(primes))
+                table = arith.prime_power_sieve(B, primes, arith.EXPONENT, periods, live)
+                assert table.dtype == np.int8
+                assert np.array_equal(table[seen] != 0, fails[seen]), (B, group, len(primes))
+                table = arith.prime_power_sieve(B, primes, arith.MULTIPLY, e, live)
+                assert table.dtype == np.int8
+                assert np.array_equal(table[seen], w[seen]), (B, group, len(primes))
 
 
 def test_expand_runs_against_a_plain_loop():
