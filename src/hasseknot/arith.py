@@ -1,16 +1,19 @@
 """Exact integer arithmetic kernel.
 
-Factorization of arbitrary-precision rationals, the Kronecker symbol,
-p-adic square classes, and the Hilbert symbol at every place of Q.
-Everything here is exact integer/Fraction arithmetic; no floats.  Square
-classes and Hilbert symbols reduce a rational num / den to the int num * den
-of its square class, so the symbols run on Python ints only.
+Factorization of arbitrary-precision rationals, primality, the Kronecker
+symbol, p-adic square classes and the Hilbert symbol at every place of Q;
+and the numpy kernels the counts run on: the prime sieve `sieve_primes`,
+the per-integer tables of `prime_power_sieve`, the run expander
+`expand_runs` and the exact int64 reductions of `residues`.  Everything
+here is exact integer, Fraction or int64 arithmetic.  Square classes and
+Hilbert symbols reduce a rational num / den to the int num * den of its
+square class, so the symbols run on Python ints only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,54 +48,8 @@ def sieve_primes(limit: int) -> np.ndarray:
 _TRIAL_PRIMES = tuple(sieve_primes(1 << 10).tolist())  # trial divisors of _factor_positive
 
 
-# Most entries in one grouped yield of `prime_power_multiples`
+# Most entries in one numpy update of `prime_power_sieve` above sqrt B
 _GROUP = 4096
-
-
-def prime_power_multiples(B: int, primes: np.ndarray,
-                          cofactors: Callable[[], np.ndarray] | None = None):
-    """Walk the multiples n <= B of each power p^k <= B of the primes p in
-    the sorted int64 array `primes`, as (at, i, k) for `table[at] op=
-    values[i]`.
-
-    A slice `at` comes with an int i: the multiples of p^k for a p =
-    primes[i] <= sqrt B.  An int64 array `at` comes with k = 1 and holds
-    multiples n = c * p of primes p above sqrt B, with c < sqrt B.  Its i is
-    slice(lo, hi), the run of primes up to B // c for one cofactor c, when
-    that run has at least _GROUP entries; the shorter runs, which follow as
-    c grows, are laid end to end by `expand_runs` and cut into groups of at
-    most _GROUP entries, each with i an int64 index array and at = c *
-    primes[i] entrywise.  No yield repeats an entry of `at`, so the update
-    is exact: two primes above sqrt B never divide one n <= B, so n fixes p
-    and then c.  The entries of an index array i repeat where a group holds
-    several cofactors.
-
-    Every c is walked by default, so each multiple of each p^k is reached
-    once.  Otherwise `cofactors()` is called once the slices are all
-    yielded, and returns the ascending int64 c >= 1 to walk above sqrt B;
-    no other multiple above sqrt B comes.  A c < sqrt B has only prime
-    factors <= sqrt B, so a caller's table entry at c is final by then, and
-    a caller whose update at c * p follows from its entry at c can leave out
-    the c where that entry already decides n.  `prime_power_sieve` is the
-    one reader of these yields that the per-integer tables go through."""
-    r = math.isqrt(B)
-    lo = int(np.searchsorted(primes, r, side="right"))
-    for i, p in enumerate(primes[:lo].tolist()):
-        q, k = p, 1
-        while q <= B:
-            yield slice(q, B + 1, q), i, k
-            q, k = q * p, k + 1
-    cs = np.arange(1, B // (r + 1) + 1) if cofactors is None else cofactors()
-    runs = np.searchsorted(primes, B // cs, side="right") - lo
-    cs, runs = cs[runs > 0], runs[runs > 0]  # runs shrink as c grows
-    long = int(np.count_nonzero(runs >= _GROUP))
-    for c, n in zip(cs[:long].tolist(), runs[:long].tolist()):
-        yield c * primes[lo:lo + n], slice(lo, lo + n), 1
-    cs, runs = cs[long:], runs[long:]
-    for c, j in expand_runs(runs, _GROUP):
-        idx = lo + j
-        yield cs[c] * primes[idx], idx, 1
-
 
 # The updates of `prime_power_sieve`
 XOR, MULTIPLY, EXPONENT = "xor", "multiply", "exponent"
@@ -102,9 +59,7 @@ def prime_power_sieve(B: int, primes: np.ndarray, rule: str, values: np.ndarray,
                       live: np.ndarray | None = None) -> np.ndarray:
     """A per-integer table over 0..B, made by one update under `rule` at the
     multiples of each power p^k <= B of the primes p of the ascending int64
-    array `primes`; values[i] is the data of p = primes[i].  The walk is
-    `prime_power_multiples`, whose yields no caller sees: slices for the
-    p <= sqrt B, then k = 1 alone above.
+    array `primes`; values[i] is the data of p = primes[i].
 
     - XOR: zeros of the dtype of `values`, and table ^= values[i] at each
       power, so that values[i] lands on the n with v_p(n) odd.
@@ -122,6 +77,14 @@ def prime_power_sieve(B: int, primes: np.ndarray, rule: str, values: np.ndarray,
       int8 table never wraps.  Above sqrt B only k = 1 occurs, which fails
       c * p outright: the entry is set to 1.
 
+    A p <= sqrt B gets one strided update at each power p^k that the rule
+    changes.  Above sqrt B the multiples are n = c * p with c < sqrt B; no
+    n <= B has two prime factors above sqrt B, so n fixes p and then c, and
+    no entry is updated twice.  A cofactor's run of the primes up to B // c
+    is one update when it holds at least _GROUP primes; the shorter runs,
+    which follow as c grows, are laid end to end by `expand_runs` and
+    updated _GROUP entries at a time.
+
     Above sqrt B the walk takes the n = c * p with live[c], every c if
     `live` is None, and under MULTIPLY and EXPONENT only the c whose own
     entry does not already decide c * p, as a zero product or a nonzero
@@ -129,32 +92,39 @@ def prime_power_sieve(B: int, primes: np.ndarray, rule: str, values: np.ndarray,
     update of p."""
     r = math.isqrt(B)
     lo = int(np.searchsorted(primes, r, side="right"))
-    if rule == MULTIPLY:  # a prime above sqrt B with e > 1 changes nothing there
-        keep = values == 1
-        keep[:lo] = True
-        primes = primes[keep]
-    head = values[:lo].tolist()  # Python data for the slices, not a numpy read each
     table = (np.ones if rule == MULTIPLY else np.zeros)(
         B + 1, dtype=values.dtype if rule == XOR else np.int8)
-
-    def cofactors():  # the entries at c < sqrt B are final once the slices are done
-        # the table starts out uniform, so the slices leave c * p as they leave c
-        c = (np.ones(r, dtype=bool) if rule == XOR else
-             table[1:r + 1] != 0 if rule == MULTIPLY else table[1:r + 1] == 0)
-        return np.flatnonzero(c if live is None else c & live[1:r + 1]) + 1
-
-    for at, i, k in prime_power_multiples(B, primes, cofactors):
+    for p, v in zip(primes[:lo].tolist(), values[:lo].tolist()):
+        q, k = p, 1
+        while q <= B:
+            if rule == XOR:
+                table[q::q] ^= v
+            elif rule == EXPONENT:
+                if k % v < 2:  # +1 at k = 1 mod the period, -1 at k = 0
+                    table[q::q] += 2 * (k % v) - 1
+            elif k == v:  # MULTIPLY: -1 at p^e, 0 at p^(e + 1)
+                table[q::q] *= -1
+            elif k > v:
+                table[q::q] = 0
+                break
+            q, k = q * p, k + 1
+    ps, vs = primes[lo:], values[lo:]
+    if rule == MULTIPLY:  # a prime above sqrt B with e > 1 changes nothing there
+        ps = ps[vs == 1]
+    # the entries at c < sqrt B are final, and c * p starts out as c does
+    free = (np.ones(r, dtype=bool) if rule == XOR else
+            table[1:r + 1] != 0 if rule == MULTIPLY else table[1:r + 1] == 0)
+    cs = np.flatnonzero(free if live is None else free & live[1:r + 1]) + 1
+    runs = np.searchsorted(ps, B // cs, side="right")
+    cs, runs = cs[runs > 0], runs[runs > 0]  # runs shrink as c grows
+    long = int(np.count_nonzero(runs >= _GROUP))
+    for at, j in itertools.chain(
+            ((c * ps[:n], slice(n)) for c, n in zip(cs[:long].tolist(), runs[:long].tolist())),
+            ((cs[long + i] * ps[j], j) for i, j in expand_runs(runs[long:], _GROUP))):
         if rule == XOR:
-            table[at] ^= values[i]
-        elif not isinstance(at, slice):  # k = 1 above sqrt B
+            table[at] ^= vs[j]
+        else:
             table[at] = -table[at] if rule == MULTIPLY else 1
-        elif rule == EXPONENT:
-            if k % head[i] < 2:  # +1 at k = 1 mod the period, -1 at k = 0
-                table[at] += 2 * (k % head[i]) - 1
-        elif k == head[i]:  # MULTIPLY: -1 at p^e, 0 at p^(e + 1)
-            table[at] *= -1
-        elif k == head[i] + 1:
-            table[at] = 0
     return table
 
 

@@ -240,7 +240,7 @@ def n_loc_by_class_search(grid: list[int], tables) -> list[int]:
     with G(v) read, at each v where M(v) != 0, by one searchsorted per class
     over the sorted n of that class.  Moebius and d * e(d) come from slices
     over every prime, so nothing here shares the sqrt B hand-off of
-    arith.prime_power_multiples."""
+    arith.prime_power_sieve."""
     B = grid[-1]
     profiles, cid = np.unique(tables.profile[:B + 1], return_inverse=True)
     C = len(profiles)

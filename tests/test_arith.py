@@ -150,78 +150,38 @@ def test_table_factorize_cross_check():
     assert arith.table_factorize(1, T).factors == ()
 
 
-def test_prime_power_multiples_cover_each_multiple_once(monkeypatch):
-    # group 1 yields one cofactor at a time; at 5 the short runs of primes
-    # above sqrt B share yields, and a group can end inside a run
-    default = arith._GROUP
-    for group in (1, 5, default):
-        monkeypatch.setattr(arith, "_GROUP", group)
-        forms = set()
-        for B in (1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122, 1000):
-            every = arith.sieve_primes(B)
-            for primes in (every, every[::3]):
-                want = sorted((p, k, n) for p in primes.tolist()
-                              for k in range(1, B.bit_length() + 1) if p ** k <= B
-                              for n in range(p ** k, B + 1, p ** k))
-                got = []
-                for at, i, k in arith.prime_power_multiples(B, primes):
-                    ns = np.arange(B + 1)[at]
-                    assert len(ns) and len(set(ns.tolist())) == len(ns), (B, at)
-                    ps = np.broadcast_to(primes[i], ns.shape)
-                    # slices exactly for the p <= sqrt B, arrays above
-                    assert isinstance(at, slice) == (int(ps[0]) ** 2 <= B), (B, at)
-                    assert isinstance(at, slice) == isinstance(i, int), (B, at, i)
-                    forms.add(type(i))
-                    got += [(p, k, n) for p, n in zip(ps.tolist(), ns.tolist())]
-                assert sorted(got) == want, (B, len(primes), group)
-        # a long run as a slice, short runs in an index array; no B here has
-        # a run as long as the default
-        assert forms == {1: {int, slice}, 5: {int, slice, np.ndarray},
-                         default: {int, np.ndarray}}[group], group
-    yields = sum(1 for _ in arith.prime_power_multiples(1 << 13, arith.sieve_primes(1 << 13)))
-    assert yields <= 80, yields  # 158 one cofactor at a time
+class _CountedPrimes(np.ndarray):
+    """An array of primes that counts the products taken of it: above sqrt B
+    `prime_power_sieve` takes one, c * p, per numpy update."""
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _CountedPrimes.products += ufunc is np.multiply
+        return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
 
 
-def test_prime_power_multiples_walk_only_the_listed_cofactors(monkeypatch):
-    # above sqrt B each listed c * p comes once and no other multiple; the
-    # list is read only after the last slice, which the default walk yields
-    # alike; at group 5 a group can end inside a run of a partial list
-    default = arith._GROUP
-    for group in (1, 5, default):
+def test_prime_power_sieve_groups_the_cofactors_above_sqrt_b(monkeypatch):
+    # the numpy updates of an XOR sieve over every prime at B = 2^13: 74, one
+    # per power up to sqrt B, and 84 above, one cofactor at a time, at group
+    # 1; grouped by default, the runs of the 84 cofactors take 2 updates
+    B, default = 1 << 13, arith._GROUP
+    primes = arith.sieve_primes(B)
+    slices = sum(1 for p in primes.tolist() if p * p <= B
+                 for k in range(1, B.bit_length()) if p ** k <= B)
+    above = {}
+    for group in (1, default):
         monkeypatch.setattr(arith, "_GROUP", group)
-        inside = False
-        for B in (1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122, 1000):
-            every, r = arith.sieve_primes(B), math.isqrt(B)
-            every_c = list(range(1, r + 1))
-            for primes in (every, every[::3]):
-                slices = [(at, i, k) for at, i, k in arith.prime_power_multiples(B, primes)
-                          if isinstance(at, slice)]
-                above = [p for p in primes.tolist() if p > r]
-                for cs in ([], every_c, every_c[::2], every_c[1::3], every_c[-2:]):
-                    def listed(cs=cs):
-                        assert len(got_slices) == len(slices), (B, cs)
-                        return np.array(cs, dtype=np.int64)
-                    got_slices, got = [], []
-                    for at, i, k in arith.prime_power_multiples(B, primes, listed):
-                        if isinstance(at, slice):
-                            got_slices.append((at, i, k))
-                            continue
-                        ns = np.arange(B + 1)[at]
-                        ps = np.broadcast_to(primes[i], ns.shape)
-                        assert k == 1 and len(ns), (B, cs)
-                        got += zip(ps.tolist(), ns.tolist())
-                        if isinstance(i, np.ndarray):  # the run of the last c goes on
-                            c = int(ns[-1]) // int(ps[-1])
-                            inside |= int(i[-1]) + 1 < np.searchsorted(primes, B // c, side="right")
-                    assert got_slices == slices, (B, cs)
-                    assert sorted(got) == sorted((p, c * p) for c in cs for p in above
-                                                 if c * p <= B), (B, len(primes), cs, group)
-        assert inside == (group == 5), group
+        _CountedPrimes.products = 0
+        arith.prime_power_sieve(B, primes.view(_CountedPrimes), arith.XOR,
+                                np.ones(len(primes), dtype=np.uint8))
+        above[group] = _CountedPrimes.products
+    assert slices + above[1] == 158, above
+    assert slices + above[default] <= 80, above
 
 
 def test_prime_power_sieve_against_a_plain_loop(monkeypatch):
     # each rule against its table from v_p(n); B at p^2 - 1, p^2 and p^2 + 1
-    # moves the sqrt B hand-off across p; group 1 is one cofactor per yield
+    # moves the sqrt B hand-off across p; group 1 is one cofactor per update
     # and at 7 the groups end inside runs
     rng = np.random.default_rng(33)
     default = arith._GROUP
